@@ -91,8 +91,11 @@ pub struct PageStore {
     absent: std::collections::BTreeSet<u64>,
 }
 
+/// One allocation per page: `Arc::from(&[u8])` sizes the `Arc` block and
+/// copies into it directly, where `Vec<u8>::into()` allocates the `Vec`,
+/// then the `Arc`, copies, and frees the `Vec` again.
 fn zero_page() -> Arc<[u8]> {
-    vec![0u8; PAGE_SIZE as usize].into()
+    Arc::from(&[0u8; PAGE_SIZE as usize][..])
 }
 
 impl PageStore {
@@ -131,7 +134,7 @@ impl PageStore {
         p.epoch = self.epoch;
         if Arc::get_mut(&mut p.bytes).is_none() {
             // Shared with an outstanding snapshot: copy before writing.
-            p.bytes = p.bytes.to_vec().into();
+            p.bytes = Arc::from(&p.bytes[..]);
         }
         // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
         Arc::get_mut(&mut p.bytes).expect("freshly copied page is unshared")
@@ -208,7 +211,7 @@ impl PageStore {
             page,
             Page {
                 epoch: self.epoch,
-                bytes: bytes.to_vec().into(),
+                bytes: Arc::from(bytes),
             },
         );
     }

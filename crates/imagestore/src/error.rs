@@ -4,6 +4,7 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 
+use crate::format::{ManifestError, FORMAT_VERSION};
 use crate::store::{DeleteStats, ImageId};
 
 /// Everything that can go wrong while writing to or reading from a store.
@@ -23,6 +24,16 @@ pub enum StoreError {
         path: PathBuf,
         /// What exactly was wrong.
         what: String,
+    },
+    /// An intact manifest written in a format version this build does not
+    /// read (an old store, or an old peer's image).  Permanent, and *not*
+    /// corruption: nothing is damaged, the store belongs to another build.
+    UnsupportedVersion {
+        /// The manifest that was refused.
+        path: PathBuf,
+        /// The version it declares (this build reads and writes
+        /// [`FORMAT_VERSION`]).
+        found: u32,
     },
     /// A manifest references a chunk that is not present in the store.
     MissingChunk {
@@ -97,6 +108,18 @@ impl StoreError {
         }
     }
 
+    /// Classifies a manifest parse failure: a foreign format version is
+    /// reported as such, everything else is corruption of `path`.
+    pub(crate) fn manifest(path: impl Into<PathBuf>, e: ManifestError) -> Self {
+        match e {
+            ManifestError::UnsupportedVersion(found) => StoreError::UnsupportedVersion {
+                path: path.into(),
+                found,
+            },
+            ManifestError::Malformed(what) => StoreError::corrupt(path, what),
+        }
+    }
+
     pub(crate) fn busy(what: impl Into<String>) -> Self {
         StoreError::Busy { what: what.into() }
     }
@@ -145,6 +168,7 @@ impl StoreError {
         match self {
             StoreError::Io { .. } => "io",
             StoreError::Corrupt { .. } => "corrupt",
+            StoreError::UnsupportedVersion { .. } => "unsupported_version",
             StoreError::MissingChunk { .. } => "missing_chunk",
             StoreError::UnknownImage(_) => "unknown_image",
             StoreError::Locked { .. } => "locked",
@@ -182,6 +206,11 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt { path, what } => {
                 write!(f, "corrupt store file {}: {what}", path.display())
             }
+            StoreError::UnsupportedVersion { path, found } => write!(
+                f,
+                "store file {} is format version {found}; this build reads and writes version {FORMAT_VERSION}",
+                path.display()
+            ),
             StoreError::MissingChunk { hash } => write!(f, "chunk {hash} missing from store"),
             StoreError::UnknownImage(id) => write!(f, "image {id} not present in store"),
             StoreError::Locked { path, holder } => write!(

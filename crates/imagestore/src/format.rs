@@ -22,6 +22,14 @@
 //!            | encoded bytes
 //! ```
 //!
+//! `version` is [`FORMAT_VERSION`].  Version 2 changed nothing in the
+//! layouts above — it marks the switch of the chunk-naming content hash
+//! ([`crate::hash`]) from FNV-1a-128 to the four-lane word-at-a-time mix.
+//! A version-1 store's chunk files carry names this build cannot
+//! recompute, so its manifests are refused up front with
+//! [`ManifestError::UnsupportedVersion`] instead of every chunk later
+//! failing its content-hash check as "corrupt".
+//!
 //! `parent` is 0 for a full checkpoint, or the parent's image id for an
 //! incremental one (ids start at 1).  A manifest always describes the
 //! *complete* image — incremental is purely a storage property (shared
@@ -38,8 +46,32 @@ use crate::store::ImageId;
 pub const MANIFEST_MAGIC: &[u8; 8] = b"CRACSTR1";
 /// Magic bytes opening a chunk file.
 pub const CHUNK_MAGIC: &[u8; 8] = b"CRACCHK1";
-/// Current manifest format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current manifest format version (2: chunks named by the word-at-a-time
+/// [`ContentHash`]; 1 named them by FNV-1a-128).
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Why [`Manifest::from_bytes`] refused its input.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ManifestError {
+    /// An intact manifest (CRC and magic check out) written in another
+    /// format version — not corruption: the file is what its writer meant
+    /// it to be, this build just cannot read it.
+    UnsupportedVersion(u32),
+    /// Integrity or structure failure: the first problem found.
+    Malformed(String),
+}
+
+impl From<&str> for ManifestError {
+    fn from(what: &str) -> Self {
+        ManifestError::Malformed(what.into())
+    }
+}
+
+impl From<String> for ManifestError {
+    fn from(what: String) -> Self {
+        ManifestError::Malformed(what)
+    }
+}
 
 /// One chunk reference within a region: which pages it covers and the
 /// content hash naming its bytes in the chunk store.
@@ -148,20 +180,21 @@ impl Manifest {
         out
     }
 
-    /// Parses and integrity-checks a manifest.  Returns a description of the
-    /// first problem found on any corruption.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, String> {
+    /// Parses and integrity-checks a manifest.  Returns the first problem
+    /// found: a foreign format version, or a description of the corruption.
+    pub fn from_bytes(data: &[u8]) -> Result<Self, ManifestError> {
         if data.len() < MANIFEST_MAGIC.len() + 4 + 4 {
             return Err("manifest truncated".into());
         }
         let (body, trailer) = data.split_at(data.len() - 4);
         // crac-lint: allow(no-unwrap) — split_at(len - 4) guarantees a 4-byte trailer
         let stored_crc = u32::from_le_bytes(trailer.try_into().unwrap());
-        if crc32(body) != stored_crc {
+        let computed = crc32(body);
+        if computed != stored_crc {
             return Err(format!(
-                "manifest CRC mismatch: stored {stored_crc:#010x}, computed {:#010x}",
-                crc32(body)
-            ));
+                "manifest CRC mismatch: stored {stored_crc:#010x}, computed {computed:#010x}"
+            )
+            .into());
         }
         let mut c = ByteCursor::new(body);
         if c.take(8).ok_or("missing magic")? != MANIFEST_MAGIC {
@@ -169,7 +202,7 @@ impl Manifest {
         }
         let version = c.u32().ok_or("missing version")?;
         if version != FORMAT_VERSION {
-            return Err(format!("unsupported manifest version {version}"));
+            return Err(ManifestError::UnsupportedVersion(version));
         }
         let image_id = ImageId(c.u64().ok_or("missing image id")?);
         let parent = match c.u64().ok_or("missing parent id")? {
@@ -180,7 +213,7 @@ impl Manifest {
         let compression = match c.u8().ok_or("missing compression tag")? {
             0 => Compression::None,
             1 => Compression::Rle,
-            t => return Err(format!("unknown compression tag {t}")),
+            t => return Err(format!("unknown compression tag {t}").into()),
         };
         let nregions = c.u64().ok_or("missing region count")? as usize;
         let mut regions = Vec::with_capacity(nregions.min(1 << 16));
@@ -421,15 +454,26 @@ mod tests {
         }
     }
 
+    /// A manifest of another version — 1 is what a store written before the
+    /// content hash changed holds — is intact as far as CRC and magic go,
+    /// and is refused by *version*, not as corruption.
     #[test]
-    fn version_and_magic_are_enforced() {
-        let mut bytes = sample_manifest().to_bytes();
-        // Corrupt the version field *and* refresh the CRC: must still fail.
-        bytes[8] = 99;
-        let body_len = bytes.len() - 4;
-        let crc = crate::hash::crc32(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
-        let err = Manifest::from_bytes(&bytes).unwrap_err();
-        assert!(err.contains("version"), "got: {err}");
+    fn other_versions_are_refused_with_a_version_error() {
+        for version in [1u32, 99] {
+            let mut bytes = sample_manifest().to_bytes();
+            // Patch the version field *and* refresh the CRC.
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let body_len = bytes.len() - 4;
+            let crc = crate::hash::crc32(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+            let err = Manifest::from_bytes(&bytes).unwrap_err();
+            assert_eq!(err, ManifestError::UnsupportedVersion(version));
+            let store_err = crate::StoreError::manifest("images/1.crimg", err);
+            assert!(!store_err.is_corruption(), "got: {store_err}");
+            assert!(
+                store_err.to_string().contains("version"),
+                "got: {store_err}"
+            );
+        }
     }
 }

@@ -14,12 +14,18 @@
 //! content hash — no new dependencies.  Both directions prove knowledge
 //! of the secret without ever sending it, fresh nonces keep transcripts
 //! from replaying, and the direction tag keeps a reflected proof from
-//! verifying.  The same honesty note as [`crate::hash`] applies: FNV-1a
-//! is not a cryptographic primitive, so this keeps *honest* stores from
+//! verifying.  The same honesty note as [`crate::hash`] applies: the
+//! content hash is a fast non-cryptographic mix (four multiply-rotate
+//! lanes, built for memory-speed integrity checks, not for resisting
+//! someone who can choose inputs), so this keeps *honest* stores from
 //! being crossed (a mis-pasted address, a stale config) and raises the
 //! bar for drive-by connections; a hostile network needs a real MAC and
 //! transport encryption layered underneath (the handshake shape would
-//! not change).
+//! not change).  Because the MAC is a function of the content hash, it
+//! changed when the hash did: that is half of why
+//! [`crate::net::WIRE_VERSION`] is 2, and a version-1 peer is turned away
+//! by the version byte of the first handshake frame before any proof is
+//! compared.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,7 +36,7 @@ use crate::net::frame::NONCE_LEN;
 const BLOCK: usize = 64;
 
 /// HMAC-style keyed hash: `H((k ⊕ opad) ‖ H((k ⊕ ipad) ‖ msg))` over
-/// [`ContentHash`] (FNV-1a-128).
+/// [`ContentHash`].
 pub(crate) fn mac(secret: &[u8], parts: &[&[u8]]) -> u128 {
     // Collapse an oversized secret to a hash, pad the rest with zeros.
     let mut key = [0u8; BLOCK];

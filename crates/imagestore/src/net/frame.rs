@@ -37,7 +37,14 @@ use crate::store::ImageId;
 
 /// Version byte carried by every frame; a peer speaking another version
 /// is refused before anything else is parsed.
-pub const WIRE_VERSION: u8 = 1;
+///
+/// Version 2 kept every frame layout and moved with
+/// [`crate::format::FORMAT_VERSION`]: chunk hashes on the wire and the
+/// handshake MAC ([`crate::net::auth`]) are computed with the
+/// word-at-a-time [`ContentHash`], so a version-1 peer could neither name
+/// a chunk nor prove the secret — it is told so by version, on the first
+/// frame of the handshake, rather than failing auth or ingest later.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on one frame's `body + crc` length.  Chunk payloads are at
 /// most [`crate::chunk::CHUNK_PAGES`] pages plus a fixed header, but
@@ -398,7 +405,9 @@ impl Frame {
         let mut c = ByteCursor::new(body);
         let version = c.u8().ok_or("missing version")?;
         if version != WIRE_VERSION {
-            return Err(format!("unsupported wire version {version}"));
+            return Err(format!(
+                "unsupported wire version {version} (this build speaks version {WIRE_VERSION})"
+            ));
         }
         let kind = c.u8().ok_or("missing kind")?;
         let remaining = body.len() - 2;
@@ -736,6 +745,23 @@ mod tests {
         wire.extend_from_slice(&crc32(&body).to_le_bytes());
         let err = read_frame(&mut std::io::Cursor::new(wire)).unwrap_err();
         assert!(matches!(err, FrameError::Malformed(_)), "got: {err}");
+    }
+
+    /// A frame from a version-1 peer — intact CRC, known kind — is refused
+    /// *by version* (the peer names chunks with another hash), not as noise.
+    #[test]
+    fn a_v1_frame_is_refused_with_a_version_error() {
+        let mut wire = Frame::ServerHello { nonce: [7; 16] }.to_wire();
+        assert_eq!(wire[4], WIRE_VERSION);
+        wire[4] = 1;
+        let body_end = wire.len() - 4;
+        let crc = crc32(&wire[4..body_end]);
+        wire[body_end..].copy_from_slice(&crc.to_le_bytes());
+        let err = read_frame(&mut std::io::Cursor::new(wire)).unwrap_err();
+        let FrameError::Malformed(what) = err else {
+            panic!("expected a malformed-frame error, got: {err}");
+        };
+        assert!(what.contains("unsupported wire version 1"), "got: {what}");
     }
 
     #[test]

@@ -699,5 +699,5 @@ pub(crate) fn load_manifest_file(path: &std::path::Path) -> Result<Manifest, Sto
         Ok(b) => b,
         Err(e) => return Err(StoreError::io(path, e)),
     };
-    Manifest::from_bytes(&bytes).map_err(|what| StoreError::corrupt(path, what))
+    Manifest::from_bytes(&bytes).map_err(|e| StoreError::manifest(path, e))
 }

@@ -605,8 +605,7 @@ impl<'t> RemoteChunkSource<'t> {
             || transport.get_manifest(id),
         )?;
         let label = PathBuf::from(format!("remote:{id}"));
-        let manifest =
-            Manifest::from_bytes(&bytes).map_err(|what| StoreError::corrupt(&label, what))?;
+        let manifest = Manifest::from_bytes(&bytes).map_err(|e| StoreError::manifest(&label, e))?;
         obs.run
             .counter("crac_reader_manifest_bytes")
             .add(bytes.len() as u64);
@@ -723,7 +722,7 @@ impl ImageStore {
             Err(e) => return Err(StoreError::io(&manifest_path, e)),
         };
         let manifest = Manifest::from_bytes(&manifest_bytes)
-            .map_err(|what| StoreError::corrupt(&manifest_path, what))?;
+            .map_err(|e| StoreError::manifest(&manifest_path, e))?;
         let obs = ShipObs::new(self.obs());
         let retries = AtomicUsize::new(0);
 
@@ -825,8 +824,8 @@ impl ImageStore {
             || transport.get_manifest(remote_id),
         )?;
         let label = PathBuf::from(format!("remote:{remote_id}"));
-        let manifest = Manifest::from_bytes(&manifest_bytes)
-            .map_err(|what| StoreError::corrupt(&label, what))?;
+        let manifest =
+            Manifest::from_bytes(&manifest_bytes).map_err(|e| StoreError::manifest(&label, e))?;
 
         let retry = obs.retry("get_chunk");
         let mut seen: HashSet<ContentHash> = HashSet::new();

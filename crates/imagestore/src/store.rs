@@ -587,8 +587,8 @@ impl ImageStore {
     ) -> Result<ImageId, StoreError> {
         self.check_writable()?;
         let incoming = self.images_dir.join("incoming");
-        let mut manifest = Manifest::from_bytes(manifest_bytes)
-            .map_err(|what| StoreError::corrupt(&incoming, what))?;
+        let mut manifest =
+            Manifest::from_bytes(manifest_bytes).map_err(|e| StoreError::manifest(&incoming, e))?;
         // Validate run geometry exactly as a restore would (page-count
         // overflows, runs exceeding their region, conflicting lengths):
         // reject the image *before* publication instead of letting every

@@ -19,10 +19,11 @@
 //! chunk *n* (the double-buffering the synchronous writer lacked).
 //! Durability is batched: the I/O thread lands chunks under temp names
 //! without fsync (the kernel writes back behind it), and `finish` syncs
-//! and renames the whole batch before publishing the manifest — the
-//! crash-safety invariant (a file only ever appears under its
-//! content-hash name with durable bytes) holds with the per-chunk fsync
-//! stall gone from the overlap window.
+//! and renames the whole batch — in parallel, on as many threads as the
+//! pipeline just ran — before publishing the manifest.  The crash-safety
+//! invariant (a file only ever appears under its content-hash name with
+//! durable bytes) holds with the per-chunk fsync stall gone from the
+//! overlap window.
 //!
 //! Because both queues are bounded, the peak payload the pipeline ever
 //! buffers is a small multiple of the chunk size — *independent of the
@@ -41,6 +42,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -441,11 +443,14 @@ impl<'s> StreamWriter<'s> {
         // find clean pages — the per-chunk fsync stall the synchronous
         // writer paid is gone from the overlap window entirely.
         let pending = std::mem::take(&mut *self.pending_publish.lock());
-        let had_chunks = !pending.is_empty();
-        for (tmp, path) in pending {
-            publish_tmp(&tmp, &path)?;
-        }
-        if had_chunks {
+        if !pending.is_empty() {
+            let _stage = Span::enter(
+                &self
+                    .run
+                    .histogram("crac_writer_stage_publish_us", Buckets::LATENCY_US),
+            );
+            publish_batch(&pending, self.threads + 1, &self.error);
+            self.check_failed()?;
             sync_dir(self.store.chunks_dir());
         }
 
@@ -728,12 +733,14 @@ fn spawn_io(
                 raw_len: job.raw_len,
                 encoded: job.encoded,
             };
+            // The I/O stage covers framing the file (its CRC) as well as
+            // the write, so this thread's time is attributed in full.
+            let stage = Span::enter(&obs.stage_io);
             let bytes = file.to_bytes();
             let path = chunks_dir.join(format!("{}.chk", job.hash.to_hex()));
             // Deferred durability: land the bytes under a temp name now (no
             // fsync — the kernel writes back behind us) and queue the
             // fsync + rename for the batched publish at finish.
-            let stage = Span::enter(&obs.stage_io);
             let written = write_tmp(&path, &bytes);
             stage.finish();
             match written {
@@ -801,6 +808,35 @@ fn publish_tmp(tmp: &Path, path: &Path) -> Result<(), StoreError> {
     f.sync_all().map_err(|e| StoreError::io(tmp, e))?;
     fs::rename(tmp, path).map_err(|e| StoreError::io(path, e))?;
     Ok(())
+}
+
+/// Runs [`publish_tmp`] over the whole batch on `workers` threads (the
+/// caller's included): each file is still fsynced *then* renamed, files
+/// are merely independent of one another, and a flush is a wait on the
+/// device that parallel submitters overlap.  `workers` is the count of
+/// pipeline threads that just exited (encoders + I/O), so a write never
+/// has more threads alive than it had while streaming.  The first failure
+/// latches into `error` and every worker stops at its next file.
+fn publish_batch(pending: &[(PathBuf, PathBuf)], workers: usize, error: &ErrorSlot) {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        while error.lock().is_none() {
+            // Relaxed: the counter only hands out indices, it publishes
+            // no data (the scope's join orders everything else).
+            let Some((tmp, path)) = pending.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                return;
+            };
+            if let Err(e) = publish_tmp(tmp, path) {
+                latch(error, e);
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers.min(pending.len()) {
+            s.spawn(work);
+        }
+        work();
+    });
 }
 
 /// Best-effort fsync of a directory, so renames into it survive a crash

@@ -144,7 +144,13 @@ fn live_checkpoint_streams_straight_to_a_socket() {
 #[test]
 fn parallel_restore_rides_multiple_pooled_connections() {
     let dir = TempDir::new("tcp-pool");
-    let img = image(4, 32);
+    // Long enough that the fan-out outlasts a dial: the second worker finds
+    // the pool's one socket taken and has to dial its own, which takes up
+    // to one accept-poll interval (10 ms) — some 80 chunk round trips now
+    // that verification runs at memory speed.  512 chunks leave the two
+    // workers overlapping for most of the restore.
+    const CHUNKS: u64 = 512;
+    let img = image(4, CHUNKS);
     let (store, server) = server_over(&dir);
     let (id, _) = store.write_image(&img, &WriteOptions::full()).unwrap();
 
@@ -157,7 +163,7 @@ fn parallel_restore_rides_multiple_pooled_connections() {
     assert_eq!(back.regions[0].pages, img.regions[0].pages);
 
     let read = source.stats();
-    assert_eq!(read.chunks_read, 32);
+    assert_eq!(read.chunks_read, CHUNKS as usize);
     if read.threads_used >= 2 {
         // The fan-out demonstrably used ≥ 2 pooled sockets: the server
         // saw several distinct authenticated connections serving gets,

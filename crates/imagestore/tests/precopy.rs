@@ -46,6 +46,10 @@ impl DmtcpPlugin for StopMutator {
 /// A space with one upper-half mapping of [`REGION_PAGES`] pages seeded
 /// with `initial` content, a coordinator quiescing through [`StopMutator`],
 /// and a mutator thread replaying `script` in a loop until quiesced.
+///
+/// Returns only once the mutator has taken its first write: under a loaded
+/// test host its thread may not be scheduled for a while, and a checkpoint
+/// that wins that race sees no concurrent mutation at all (`writes == 0`).
 fn space_under_mutation(
     initial: &[(u64, u8)],
     script: Vec<(u64, u8)>,
@@ -71,6 +75,9 @@ fn space_under_mutation(
         acked: Arc::clone(&acked),
     }));
     let mut_space = space.clone();
+    // An empty script never writes; nothing to wait for then.
+    let wrote_once = Arc::new(AtomicBool::new(script.is_empty()));
+    let wrote_once_tx = Arc::clone(&wrote_once);
     let mutator = std::thread::spawn(move || {
         let mut writes = 0u64;
         'outer: loop {
@@ -83,6 +90,7 @@ fn space_under_mutation(
                     .write_bytes(a + page * PAGE_SIZE + 64, &bytes)
                     .unwrap();
                 writes += 1;
+                wrote_once_tx.store(true, Ordering::SeqCst);
             }
             if script.is_empty() || stop.load(Ordering::SeqCst) {
                 break;
@@ -91,6 +99,9 @@ fn space_under_mutation(
         acked.store(true, Ordering::SeqCst);
         writes
     });
+    while !wrote_once.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
     (space, a, coord, mutator)
 }
 

@@ -146,8 +146,10 @@ impl Ring {
     }
 
     pub(crate) fn push(&self, at: Duration, kind: EventKind, detail: String) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut buf = self.lock();
+        // Numbered under the lock: a sequence number taken before it could
+        // be overtaken on the way in, and the ring would hold 7 before 6.
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         if buf.len() == EVENT_RING_CAPACITY {
             buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);

@@ -40,6 +40,9 @@ impl AtomicHist {
         }
     }
 
+    // Compiled with the recorders that call it (and for this module's
+    // own tests): a passthrough build records nothing.
+    #[cfg(any(debug_assertions, feature = "lock-graph", test))]
     fn observe(&self, value_us: u64) {
         let idx = LATENCY_US_BOUNDS.partition_point(|&b| b < value_us);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
@@ -65,18 +68,26 @@ static CONTENDED: AtomicU64 = AtomicU64::new(0);
 static WAIT_US: AtomicHist = AtomicHist::new();
 static HOLD_US: AtomicHist = AtomicHist::new();
 
+// The recorders exist exactly when the instrumentation that calls them
+// does (see `instrumented`); the statics and readers below always do, so
+// a passthrough build still answers a scrape — with zeros.
+
+#[cfg(any(debug_assertions, feature = "lock-graph"))]
 pub(crate) fn note_acquire() {
     ACQUIRES.fetch_add(1, Ordering::Relaxed);
 }
 
+#[cfg(any(debug_assertions, feature = "lock-graph"))]
 pub(crate) fn note_contended() {
     CONTENDED.fetch_add(1, Ordering::Relaxed);
 }
 
+#[cfg(any(debug_assertions, feature = "lock-graph"))]
 pub(crate) fn record_wait_us(us: u64) {
     WAIT_US.observe(us);
 }
 
+#[cfg(any(debug_assertions, feature = "lock-graph"))]
 pub(crate) fn record_hold_us(us: u64) {
     HOLD_US.observe(us);
 }
