@@ -9,9 +9,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use crac_addrspace::{Addr, PageRun, Prot, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{CheckpointImage, Coordinator, CoordinatorConfig, RegionDescriptor, SavedRegion};
-use crac_imagestore::testutil::TempDir;
+use crac_imagestore::testutil::{restore_into, TempDir};
 use crac_imagestore::{
-    ChunkSink, Compression, CoordinatorStoreExt, ImageStore, LoopbackTransport, WriteOptions,
+    checkpoint_to, restore, ChunkSink, CkptTarget, Compression, ImageSource, ImageStore,
+    LazyRestoreSession, LoopbackTransport, StoreError, StreamReader, WriteOptions,
 };
 
 /// One synthetic page's content (shared by the materialised and streaming
@@ -203,7 +204,7 @@ fn bench_image_io(c: &mut Criterion) {
         group.bench_function("streaming_restore", |b| {
             b.iter(|| {
                 let space = SharedSpace::new_no_aslr();
-                coord.restart_from_store(&store, id, &space).unwrap()
+                restore_into(&coord, ImageSource::Store(&store), id, &space).unwrap()
             })
         });
         group.finish();
@@ -212,7 +213,7 @@ fn bench_image_io(c: &mut Criterion) {
         // barrier path holds the whole image's stored bytes at once by
         // construction; the streaming path is bounded by the queues.
         let space = SharedSpace::new_no_aslr();
-        let (_, stream) = coord.restart_from_store(&store, id, &space).unwrap();
+        let (_, stream) = restore_into(&coord, ImageSource::Store(&store), id, &space).unwrap();
         println!(
             "\nckpt_image_io restore: image stored {} KiB; streaming splice peak buffer {} KiB \
              (bound {} KiB; barrier path holds the full image)",
@@ -624,18 +625,16 @@ fn bench_image_io(c: &mut Criterion) {
             });
             let dir = TempDir::new("bench-precopy");
             let store = ImageStore::open(dir.path()).unwrap();
-            let (_, pre, _) = coord
-                .checkpoint_to_store_precopy(&store, 0, &WriteOptions::full(), cfg)
-                .unwrap();
+            let target = CkptTarget::Store(&store, WriteOptions::full());
+            let (_, pre, _) = checkpoint_to(&coord, target, Some(&cfg), |_| 0).unwrap();
             mutator.join().unwrap();
             // Memory is static now: a stop-the-world checkpoint of the
             // same space gives the O(image) window pre-copy replaces.
             let stw_coord = Coordinator::new(space, CoordinatorConfig::default());
             let dir2 = TempDir::new("bench-precopy-stw");
             let store2 = ImageStore::open(dir2.path()).unwrap();
-            stw_coord
-                .checkpoint_to_store(&store2, 0, &WriteOptions::full())
-                .unwrap();
+            let target = CkptTarget::Store(&store2, WriteOptions::full());
+            checkpoint_to(&stw_coord, target, None, |_| 0).unwrap();
             let snap = stw_coord.obs().snapshot();
             let stw_window_us = snap
                 .histogram("crac_ckpt_stop_window_us")
@@ -652,9 +651,8 @@ fn bench_image_io(c: &mut Criterion) {
                 let coord = Coordinator::new(space, CoordinatorConfig::default());
                 let dir = TempDir::new("bench-stw-iter");
                 let store = ImageStore::open(dir.path()).unwrap();
-                coord
-                    .checkpoint_to_store(&store, 0, &WriteOptions::full())
-                    .unwrap()
+                let target = CkptTarget::Store(&store, WriteOptions::full());
+                checkpoint_to(&coord, target, None, |_| 0).unwrap()
             })
         });
         group.bench_function("precopy_checkpoint", |b| {
@@ -707,17 +705,13 @@ fn bench_image_io(c: &mut Criterion) {
             let dir = TempDir::new("bench-precopy-gap");
             let store = ImageStore::open(dir.path()).unwrap();
             let t0 = std::time::Instant::now();
-            let (_, pre, write) = coord
-                .checkpoint_to_store_precopy(
-                    &store,
-                    0,
-                    &WriteOptions::full(),
-                    PrecopyConfig {
-                        max_run_gap: gap,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
+            let cfg = PrecopyConfig {
+                max_run_gap: gap,
+                ..Default::default()
+            };
+            let target = CkptTarget::Store(&store, WriteOptions::full());
+            let (_, pre, landed) = checkpoint_to(&coord, target, Some(&cfg), |_| 0).unwrap();
+            let write = landed.write;
             println!(
                 "{{\"bench\":\"ckpt_image_io_precopy\",\"op\":\"run_coalescing\",\
                  \"max_run_gap\":{gap},\"runs\":{runs},\"bulk_bytes\":{},\
@@ -756,20 +750,19 @@ fn bench_image_io(c: &mut Criterion) {
         ) {
             let space = SharedSpace::new_no_aslr();
             let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-            let session = coord.open_lazy_restore(store, id).unwrap();
-            session.attach(&coord, &space);
-            std::thread::scope(|scope| {
-                session.spawn_workers(scope);
+            let reader = StreamReader::open(ImageSource::Store(store), id, coord.obs()).unwrap();
+            let ((), read, lazy) = restore(reader, true, |install| {
+                install(&coord, &space)?;
                 let mut b = [0u8; 1];
                 for &start in starts {
                     for p in 0..hot {
                         space.read_bytes(start + p * 7 * PAGE_SIZE, &mut b).unwrap();
                     }
                 }
-                session.drain().unwrap();
-            });
-            space.clear_fault_handler();
-            session.finish()
+                Ok::<_, StoreError>(())
+            })
+            .unwrap();
+            (read, lazy)
         }
 
         let mut group = c.benchmark_group("ckpt_image_io_lazy");
@@ -778,7 +771,7 @@ fn bench_image_io(c: &mut Criterion) {
             b.iter(|| {
                 let space = SharedSpace::new_no_aslr();
                 let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-                coord.restart_from_store(&store, id, &space).unwrap()
+                restore_into(&coord, ImageSource::Store(&store), id, &space).unwrap()
             })
         });
         group.bench_function("lazy_resume", |b| {
@@ -787,8 +780,10 @@ fn bench_image_io(c: &mut Criterion) {
             b.iter(|| {
                 let space = SharedSpace::new_no_aslr();
                 let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-                let session = coord.open_lazy_restore(&store, id).unwrap();
-                let stats = session.attach(&coord, &space);
+                let reader =
+                    StreamReader::open(ImageSource::Store(&store), id, coord.obs()).unwrap();
+                let session = LazyRestoreSession::open(reader).unwrap();
+                let stats = session.attach(&coord, &space).unwrap();
                 session.abort();
                 space.clear_fault_handler();
                 (stats, session.finish())
@@ -804,9 +799,7 @@ fn bench_image_io(c: &mut Criterion) {
         let eager_space = SharedSpace::new_no_aslr();
         let eager_coord = Coordinator::new(eager_space.clone(), CoordinatorConfig::default());
         let t0 = std::time::Instant::now();
-        eager_coord
-            .restart_from_store(&store, id, &eager_space)
-            .unwrap();
+        restore_into(&eager_coord, ImageSource::Store(&store), id, &eager_space).unwrap();
         let eager_us = t0.elapsed().as_micros().max(1) as u64;
 
         let (read, lazy) = lazy_once(&store, id, &starts, 32);
@@ -816,18 +809,16 @@ fn bench_image_io(c: &mut Criterion) {
             // the session recorded into; grab a fresh run for the snapshot.
             let space = SharedSpace::new_no_aslr();
             let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-            let session = coord.open_lazy_restore(&store, id).unwrap();
-            session.attach(&coord, &space);
-            std::thread::scope(|scope| {
-                session.spawn_workers(scope);
+            let reader = StreamReader::open(ImageSource::Store(&store), id, coord.obs()).unwrap();
+            restore(reader, true, |install| {
+                install(&coord, &space)?;
                 let mut b = [0u8; 1];
                 for &start in &starts {
                     space.read_bytes(start, &mut b).unwrap();
                 }
-                session.drain().unwrap();
-            });
-            space.clear_fault_handler();
-            session.finish();
+                Ok::<_, StoreError>(())
+            })
+            .unwrap();
             coord.obs().snapshot()
         };
         let (fault_count, fault_sum_us) = snap

@@ -42,6 +42,24 @@
 //!
 //! The result: the application continues exactly where it was, holding the
 //! same pointers and the same (virtual) stream/event/kernel handles.
+//!
+//! # One checkpoint body, one restore body
+//!
+//! Besides the materialised [`CracProcess::checkpoint`] /
+//! [`CracProcess::restart`] pair (an in-memory `CheckpointImage`, kept as
+//! the test oracle), a process checkpoints through **one** private body —
+//! auto-parenting, drain accounting, virtual-clock advance, manifest stamp,
+//! report — parameterised by *where* the image lands
+//! (`crac_imagestore::CkptTarget`: a store or a peer) and *how* the walk
+//! runs (stop-the-world or pre-copy), and restarts through **one** private
+//! body parameterised by where the image comes from
+//! (`crac_imagestore::ImageSource`) and whether the application resumes
+//! when every page is resident or right after the metadata-only
+//! declaration (lazy).  The public `checkpoint_to_{store,remote}[_precopy]`
+//! and `restart_from_{store,remote}[_lazy]` methods are shells that pick
+//! those values and unpack the result; their names and signatures are what
+//! `crac-bench`'s `perf` adapter calls, so they are frozen until that
+//! adapter moves onto the two bodies.
 
 pub mod config;
 pub mod interpose;

@@ -10,9 +10,9 @@ use crac_dmtcp::{CheckpointImage, Coordinator, DmtcpPlugin, PrecopyConfig, Preco
 use crac_gpu::clock::ns_to_s;
 use crac_gpu::{GpuMetrics, KernelCost, LaunchDims, UvmStats, VirtualClock};
 use crac_imagestore::{
-    drive_checkpoint_precopy, drive_checkpoint_streaming, drive_restore_streaming, Compression,
-    ImageId, ImageStore, LazyRestoreSession, LazyRestoreStats, ReadStats, RemoteChunkSink,
-    RemoteChunkSource, ReplicateStats, StoreError, Transport, WriteOptions, WriteStats,
+    checkpoint_to, restore, CkptTarget, Compression, ImageId, ImageSource, ImageStore, Landed,
+    LazyRestoreStats, ReadStats, ReplicateStats, StoreError, StreamReader, Transport, WriteOptions,
+    WriteStats,
 };
 use crac_splitproc::loader::{load_program, ProgramSpec};
 use crac_splitproc::{HostHeap, LowerHalf};
@@ -175,6 +175,48 @@ pub struct RemoteCkptReport {
     pub regions_skipped: usize,
     /// Transport-side shipping statistics (dedup, bytes shipped, retries).
     pub replicate: ReplicateStats,
+}
+
+/// What the one checkpoint body hands its shells: everything either report
+/// type is cut from.
+struct CkptDone {
+    image_id: ImageId,
+    parent: Option<ImageId>,
+    ckpt_time_s: f64,
+    drained_bytes: u64,
+    precopy: PrecopyStats,
+    landed: Landed,
+}
+
+impl CkptDone {
+    fn stored(self) -> (StoredCkptReport, PrecopyStats) {
+        let stats = self.precopy.ckpt;
+        let report = StoredCkptReport {
+            image_id: self.image_id,
+            parent: self.parent,
+            ckpt_time_s: self.ckpt_time_s,
+            image_bytes: stats.image_bytes,
+            drained_bytes: self.drained_bytes,
+            regions_saved: stats.regions_saved,
+            regions_skipped: stats.regions_skipped,
+            write: self.landed.write,
+        };
+        (report, self.precopy)
+    }
+
+    fn remote(self) -> (RemoteCkptReport, PrecopyStats) {
+        let stats = self.precopy.ckpt;
+        let report = RemoteCkptReport {
+            image_id: self.image_id,
+            ckpt_time_s: self.ckpt_time_s,
+            image_bytes: stats.image_bytes,
+            drained_bytes: self.drained_bytes,
+            regions_saved: stats.regions_saved,
+            regions_skipped: stats.regions_skipped,
+            replicate: self.landed.replicate,
+        };
+        (report, self.precopy)
+    }
 }
 
 /// Result of [`CracProcess::restart`].
@@ -711,41 +753,12 @@ impl CracProcess {
     pub fn checkpoint_to_store(
         &self,
         store: &ImageStore,
-        mut opts: WriteOptions,
+        opts: WriteOptions,
     ) -> Result<StoredCkptReport, CracError> {
-        if opts.parent.is_none() {
-            if let Some((root, id)) = self.last_stored_image.lock().as_ref() {
-                if root == store.root() {
-                    opts.parent = Some(*id);
-                }
-            }
-        }
-        let clock = Arc::clone(self.clock());
-        let t0 = clock.now();
-        let drained_bytes = self.state.lock().mallocs.drain_bytes();
-        // The writer pipeline records into the store's registry — hand the
-        // process's own down so this checkpoint shows up in `self.obs()`.
-        store.adopt_obs(self.obs());
-        let (image_id, stats, write) = store.stream_image(&opts, |writer| {
-            let stats = drive_checkpoint_streaming(&self.coordinator, writer)?;
-            // Model the image-write time and stamp the manifest with the
-            // time the checkpoint *completed*, so a restarted process
-            // resumes virtual time from there.
-            clock.advance(stats.write_ns);
-            writer.set_taken_at(clock.now());
-            Ok(stats)
-        })?;
-        *self.last_stored_image.lock() = Some((store.root().to_path_buf(), image_id));
-        Ok(StoredCkptReport {
-            image_id,
-            parent: opts.parent,
-            ckpt_time_s: ns_to_s(clock.now() - t0),
-            image_bytes: stats.image_bytes,
-            drained_bytes,
-            regions_saved: stats.regions_saved,
-            regions_skipped: stats.regions_skipped,
-            write,
-        })
+        Ok(self
+            .checkpoint_to(CkptTarget::Store(store, opts), None)?
+            .stored()
+            .0)
     }
 
     /// Pre-copy variant of [`CracProcess::checkpoint_to_store`]: bulk
@@ -759,44 +772,12 @@ impl CracProcess {
     pub fn checkpoint_to_store_precopy(
         &self,
         store: &ImageStore,
-        mut opts: WriteOptions,
+        opts: WriteOptions,
         cfg: PrecopyConfig,
     ) -> Result<(StoredCkptReport, PrecopyStats), CracError> {
-        if opts.parent.is_none() {
-            if let Some((root, id)) = self.last_stored_image.lock().as_ref() {
-                if root == store.root() {
-                    opts.parent = Some(*id);
-                }
-            }
-        }
-        let clock = Arc::clone(self.clock());
-        let t0 = clock.now();
-        let drained_bytes = self.state.lock().mallocs.drain_bytes();
-        store.adopt_obs(self.obs());
-        let (image_id, precopy, write) = store.stream_image(&opts, |writer| {
-            let precopy = drive_checkpoint_precopy(&self.coordinator, writer, cfg)?;
-            // Model the image-write time and stamp the manifest with the
-            // time the checkpoint *completed*, exactly like the
-            // stop-the-world store path.
-            clock.advance(precopy.ckpt.write_ns);
-            writer.set_taken_at(clock.now());
-            Ok(precopy)
-        })?;
-        *self.last_stored_image.lock() = Some((store.root().to_path_buf(), image_id));
-        let stats = precopy.ckpt;
-        Ok((
-            StoredCkptReport {
-                image_id,
-                parent: opts.parent,
-                ckpt_time_s: ns_to_s(clock.now() - t0),
-                image_bytes: stats.image_bytes,
-                drained_bytes,
-                regions_saved: stats.regions_saved,
-                regions_skipped: stats.regions_skipped,
-                write,
-            },
-            precopy,
-        ))
+        Ok(self
+            .checkpoint_to(CkptTarget::Store(store, opts), Some(&cfg))?
+            .stored())
     }
 
     /// Forgets the stored-checkpoint lineage: the next
@@ -825,25 +806,12 @@ impl CracProcess {
         compression: Compression,
         parent: Option<ImageId>,
     ) -> Result<RemoteCkptReport, CracError> {
-        let clock = Arc::clone(self.clock());
-        let t0 = clock.now();
-        let drained_bytes = self.state.lock().mallocs.drain_bytes();
-        let mut sink = RemoteChunkSink::with_obs(transport, compression, parent, self.obs());
-        let stats = drive_checkpoint_streaming(&self.coordinator, &mut sink)?;
-        // Model the image-write time and stamp the manifest with the time
-        // the checkpoint *completed*, exactly like the local store path.
-        clock.advance(stats.write_ns);
-        sink.set_taken_at(clock.now());
-        let (image_id, replicate) = sink.finish()?;
-        Ok(RemoteCkptReport {
-            image_id,
-            ckpt_time_s: ns_to_s(clock.now() - t0),
-            image_bytes: stats.image_bytes,
-            drained_bytes,
-            regions_saved: stats.regions_saved,
-            regions_skipped: stats.regions_skipped,
-            replicate,
-        })
+        let target = CkptTarget::Peer {
+            transport,
+            compression,
+            parent,
+        };
+        Ok(self.checkpoint_to(target, None)?.remote().0)
     }
 
     /// Pre-copy variant of [`CracProcess::checkpoint_to_remote`]: delta
@@ -858,29 +826,58 @@ impl CracProcess {
         parent: Option<ImageId>,
         cfg: PrecopyConfig,
     ) -> Result<(RemoteCkptReport, PrecopyStats), CracError> {
+        let target = CkptTarget::Peer {
+            transport,
+            compression,
+            parent,
+        };
+        Ok(self.checkpoint_to(target, Some(&cfg))?.remote())
+    }
+
+    /// The one checkpoint body behind every `checkpoint_to_*` shell:
+    /// `target` says where the image lands, `precopy` how the walk runs.
+    fn checkpoint_to(
+        &self,
+        mut target: CkptTarget<'_>,
+        precopy: Option<&PrecopyConfig>,
+    ) -> Result<CkptDone, CracError> {
+        // A store checkpoint without an explicit parent chains onto this
+        // process's previous image in the *same* store.
+        let mut parent = None;
+        if let CkptTarget::Store(store, opts) = &mut target {
+            if opts.parent.is_none() {
+                if let Some((root, id)) = self.last_stored_image.lock().as_ref() {
+                    if root == store.root() {
+                        opts.parent = Some(*id);
+                    }
+                }
+            }
+            parent = opts.parent;
+        }
         let clock = Arc::clone(self.clock());
         let t0 = clock.now();
         let drained_bytes = self.state.lock().mallocs.drain_bytes();
-        let mut sink = RemoteChunkSink::with_obs(transport, compression, parent, self.obs());
-        let precopy = drive_checkpoint_precopy(&self.coordinator, &mut sink, cfg)?;
-        // Model the image-write time and stamp the manifest with the time
-        // the checkpoint *completed*, exactly like the local store path.
-        clock.advance(precopy.ckpt.write_ns);
-        sink.set_taken_at(clock.now());
-        let (image_id, replicate) = sink.finish()?;
-        let stats = precopy.ckpt;
-        Ok((
-            RemoteCkptReport {
-                image_id,
-                ckpt_time_s: ns_to_s(clock.now() - t0),
-                image_bytes: stats.image_bytes,
-                drained_bytes,
-                regions_saved: stats.regions_saved,
-                regions_skipped: stats.regions_skipped,
-                replicate,
-            },
+        // The sink pipelines record into the process's own registry (the
+        // coordinator's), so this checkpoint shows up in `self.obs()`.
+        let (image_id, precopy, landed) =
+            checkpoint_to(&self.coordinator, target, precopy, |stats| {
+                // Model the image-write time and stamp the manifest with
+                // the time the checkpoint *completed*, so a restarted
+                // process resumes virtual time from there.
+                clock.advance(stats.write_ns);
+                clock.now()
+            })?;
+        if let CkptTarget::Store(store, _) = target {
+            *self.last_stored_image.lock() = Some((store.root().to_path_buf(), image_id));
+        }
+        Ok(CkptDone {
+            image_id,
+            parent,
+            ckpt_time_s: ns_to_s(clock.now() - t0),
+            drained_bytes,
             precopy,
-        ))
+            landed,
+        })
     }
 
     /// Restarts an application from remote image `id` served by
@@ -898,24 +895,10 @@ impl CracProcess {
         config: CracConfig,
         registry: Arc<KernelRegistry>,
     ) -> Result<(Self, RestartReport, ReadStats), CracError> {
-        // Created before the process exists, so the registry comes first:
-        // the source records fetches/retries into it, and `restart_with`
-        // hands it to the rebuilt process's coordinator.
-        let obs = crac_obs::ObsRegistry::new();
-        let mut source = RemoteChunkSource::open_with_obs(transport, id, obs.clone())?;
-        let taken_at_ns = source.taken_at_ns();
-        // The CRAC payload is inline manifest data — kilobytes of CUDA
-        // log, available without fetching a single chunk.
-        let crac_payload = source.payload("crac").map(<[u8]>::to_vec);
-        let (proc, report) = Self::restart_with(
-            config,
-            registry,
-            taken_at_ns,
-            crac_payload.as_deref(),
-            obs,
-            |coord, space| Ok(drive_restore_streaming(coord, &mut source, space)?),
-        )?;
-        Ok((proc, report, source.stats()))
+        let source = ImageSource::Peer(transport);
+        let (proc, report, read, _, ()) =
+            Self::restore_from(source, id, config, registry, false, |_| Ok(()))?;
+        Ok((proc, report, read))
     }
 
     /// Restarts an application from image `id` of `store` in a brand-new
@@ -927,34 +910,18 @@ impl CracProcess {
     /// reported by [`ReadStats::peak_buffered_bytes`]) instead of the
     /// image size.  The image is integrity-checked (CRC + content hashes)
     /// while being read; any corruption surfaces as [`CracError::Store`].
+    /// The restored process chains its next incremental checkpoint off the
+    /// image it came from.
     pub fn restart_from_store(
         store: &ImageStore,
         id: ImageId,
         config: CracConfig,
         registry: Arc<KernelRegistry>,
     ) -> Result<(Self, RestartReport, ReadStats), CracError> {
-        // The reader captures the store's registry when the stream opens,
-        // so adopt a fresh one first; `restart_with` then hands the same
-        // registry to the rebuilt process's coordinator.
-        let obs = crac_obs::ObsRegistry::new();
-        store.adopt_obs(obs.clone());
-        let mut reader = store.stream_restore(id)?;
-        let taken_at_ns = reader.taken_at_ns();
-        // The CRAC payload is inline manifest data — kilobytes of CUDA
-        // log, available without streaming a single chunk.
-        let crac_payload = reader.payload("crac").map(<[u8]>::to_vec);
-        let (proc, report) = Self::restart_with(
-            config,
-            registry,
-            taken_at_ns,
-            crac_payload.as_deref(),
-            obs,
-            |coord, space| Ok(drive_restore_streaming(coord, &mut reader, space)?),
-        )?;
-        // The restored process chains its next incremental checkpoint off
-        // the image it came from.
-        *proc.last_stored_image.lock() = Some((store.root().to_path_buf(), id));
-        Ok((proc, report, reader.stats()))
+        let source = ImageSource::Store(store);
+        let (proc, report, read, _, ()) =
+            Self::restore_from(source, id, config, registry, false, |_| Ok(()))?;
+        Ok((proc, report, read))
     }
 
     /// Lazy (demand-paging) variant of [`CracProcess::restart_from_store`]:
@@ -979,13 +946,7 @@ impl CracProcess {
         registry: Arc<KernelRegistry>,
         run: impl FnOnce(&Self) -> Result<T, CracError>,
     ) -> Result<(Self, RestartReport, ReadStats, LazyRestoreStats, T), CracError> {
-        let obs = crac_obs::ObsRegistry::new();
-        store.adopt_obs(obs.clone());
-        let session = LazyRestoreSession::open_local(store, id, obs.clone())?;
-        let (proc, report, out) = Self::restart_lazy_scoped(&session, config, registry, obs, run)?;
-        let (read_stats, lazy_stats) = session.finish();
-        *proc.last_stored_image.lock() = Some((store.root().to_path_buf(), id));
-        Ok((proc, report, read_stats, lazy_stats, out))
+        Self::restore_from(ImageSource::Store(store), id, config, registry, true, run)
     }
 
     /// Cross-node twin of [`CracProcess::restart_from_store_lazy`]: the
@@ -1001,50 +962,58 @@ impl CracProcess {
         registry: Arc<KernelRegistry>,
         run: impl FnOnce(&Self) -> Result<T, CracError>,
     ) -> Result<(Self, RestartReport, ReadStats, LazyRestoreStats, T), CracError> {
-        let obs = crac_obs::ObsRegistry::new();
-        let session = LazyRestoreSession::open_remote(transport, id, obs.clone())?;
-        let (proc, report, out) = Self::restart_lazy_scoped(&session, config, registry, obs, run)?;
-        let (read_stats, lazy_stats) = session.finish();
-        Ok((proc, report, read_stats, lazy_stats, out))
+        Self::restore_from(
+            ImageSource::Peer(transport),
+            id,
+            config,
+            registry,
+            true,
+            run,
+        )
     }
 
-    /// The scoped skeleton both lazy entry points share: attach the
-    /// session inside `restart_with`'s restore step (the process is
-    /// resumable the moment it returns), spawn the fault-service workers
-    /// on the same scope — they must be live before the payload replay
-    /// and staging refill first-touch the restored memory — run the
-    /// caller's working set, then drain the background sweep to full
-    /// residency and uninstall the fault handler.
-    fn restart_lazy_scoped<T>(
-        session: &LazyRestoreSession<'_>,
+    /// The one restore body behind every `restart_from_*` shell: `source`
+    /// says where the image comes from, `lazy` whether `run` — the
+    /// application's first dealings with the restarted process — starts
+    /// when every page is resident or right after the metadata-only
+    /// declaration, racing the prefetch sweep.
+    fn restore_from<T>(
+        source: ImageSource<'_>,
+        id: ImageId,
         config: CracConfig,
         registry: Arc<KernelRegistry>,
-        obs: crac_obs::ObsRegistry,
+        lazy: bool,
         run: impl FnOnce(&Self) -> Result<T, CracError>,
-    ) -> Result<(Self, RestartReport, T), CracError> {
-        let taken_at_ns = session.taken_at_ns();
-        let crac_payload = session.payload("crac").map(<[u8]>::to_vec);
-        std::thread::scope(|scope| {
-            // Any error below must abort the session before the scope
-            // joins, or the workers would park on the queue forever.
+    ) -> Result<(Self, RestartReport, ReadStats, LazyRestoreStats, T), CracError> {
+        // The registry comes first — the process does not exist yet: the
+        // reader records fetches/retries into it, and `restart_with` hands
+        // it to the rebuilt process's coordinator.
+        let obs = crac_obs::ObsRegistry::new();
+        let reader = StreamReader::open(source, id, obs.clone())?;
+        let taken_at_ns = reader.taken_at_ns();
+        // The CRAC payload is inline manifest data — kilobytes of CUDA
+        // log, available without fetching a single chunk.
+        let crac_payload = reader.payload("crac").map(<[u8]>::to_vec);
+        let ((proc, report, out), read_stats, lazy_stats) = restore(reader, lazy, |install| {
+            // The payload replay and staging refill inside `restart_with`
+            // already first-touch the restored memory.
             let (proc, report) = Self::restart_with(
                 config,
                 registry,
                 taken_at_ns,
                 crac_payload.as_deref(),
                 obs,
-                |coord, space| {
-                    let rstats = session.attach(coord, space);
-                    session.spawn_workers(scope);
-                    Ok(rstats)
-                },
-            )
-            .inspect_err(|_| session.abort())?;
-            let out = run(&proc).inspect_err(|_| session.abort())?;
-            session.drain()?;
-            proc.space().clear_fault_handler();
-            Ok((proc, report, out))
-        })
+                |coord, space| Ok(install(coord, space)?),
+            )?;
+            let out = run(&proc)?;
+            Ok::<_, CracError>((proc, report, out))
+        })?;
+        if let ImageSource::Store(store) = source {
+            // The restored process chains its next incremental checkpoint
+            // off the image it came from.
+            *proc.last_stored_image.lock() = Some((store.root().to_path_buf(), id));
+        }
+        Ok((proc, report, read_stats, lazy_stats, out))
     }
 
     /// Restarts an application from a checkpoint image in a brand-new
@@ -1068,9 +1037,9 @@ impl CracProcess {
         )
     }
 
-    /// The restart skeleton both entry points share: fresh space, fresh
-    /// lower half, `restore` installs the upper half (materialised or
-    /// streamed), then the CRAC payload replays against the new runtime.
+    /// The restart skeleton the materialised and the streamed restore
+    /// share: fresh space, fresh lower half, `restore` installs the upper
+    /// half, then the CRAC payload replays against the new runtime.
     fn restart_with(
         config: CracConfig,
         registry: Arc<KernelRegistry>,

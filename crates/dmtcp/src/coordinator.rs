@@ -1,18 +1,19 @@
 //! The checkpoint/restart driver.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crac_addrspace::{
-    page_runs_coalesced, Addr, AddressSpace, Half, MapRequest, MapsEntry, PageFaultHandler,
-    PageRun, Prot, SharedSpace, PAGE_SIZE,
+    page_runs_coalesced, Addr, AddressSpace, Half, MapRequest, MapsEntry, MemError,
+    PageFaultHandler, PageRun, Prot, SharedSpace, PAGE_SIZE,
 };
 use crac_obs::{Buckets, EventKind, ObsRegistry};
 
 use crate::image::CheckpointImage;
 use crate::plugin::{DmtcpPlugin, RegionDecision};
 use crate::stream::{
-    CheckpointSink, ImageSink, RegionDescriptor, RestoreSink, SinkClosed, MAX_RUN_PAGES,
+    CheckpointSink, ImageSink, RegionDescriptor, RestoreError, RestoreSink, SinkClosed,
+    MAX_RUN_PAGES,
 };
 
 /// Coordinator configuration.
@@ -53,7 +54,7 @@ pub struct CkptStats {
     pub write_ns: u64,
 }
 
-/// Tuning knobs for [`Coordinator::checkpoint_precopy`].
+/// Tuning knobs for a pre-copy [`Coordinator::checkpoint_walk`].
 #[derive(Clone, Debug)]
 pub struct PrecopyConfig {
     /// Maximum number of iterative delta rounds between the concurrent
@@ -139,8 +140,8 @@ pub struct Coordinator {
     space: SharedSpace,
     plugins: Vec<Arc<dyn DmtcpPlugin>>,
     /// The process-wide observability registry.  The coordinator owns
-    /// the root handle; the store-aware entry points (`crac-imagestore`'s
-    /// `CoordinatorStoreExt`) hand it down so every layer — writer,
+    /// the root handle; the store-aware drivers (`crac-imagestore`'s
+    /// `checkpoint_to` / `restore`) hand it down so every layer — writer,
     /// reader, replication, transport — records into the same registry
     /// and one scrape covers the whole checkpoint/restore flow.
     obs: ObsRegistry,
@@ -192,8 +193,8 @@ impl Coordinator {
     /// embedded, and finally plugins `resume`.
     ///
     /// This is the materialising entry point for in-memory users — it is
-    /// the streaming walk ([`Coordinator::checkpoint_streaming`]) driven
-    /// into an [`ImageSink`], so the two paths cannot diverge.
+    /// the streaming walk ([`Coordinator::checkpoint_walk`]) driven into
+    /// an [`ImageSink`], so the two paths cannot diverge.
     pub fn checkpoint(&self, now_ns: u64) -> (CheckpointImage, CkptStats) {
         let mut sink = ImageSink::default();
         let stats = self
@@ -204,8 +205,38 @@ impl Coordinator {
         (sink.image, stats)
     }
 
-    /// Takes a checkpoint, pushing `(region descriptor, page-run payload)`
-    /// records into `sink` instead of materialising a [`CheckpointImage`].
+    /// Takes a stop-the-world checkpoint, pushing `(region descriptor,
+    /// page-run payload)` records into `sink` instead of materialising a
+    /// [`CheckpointImage`]: [`Coordinator::checkpoint_walk`] with no
+    /// pre-copy configuration.
+    pub fn checkpoint_streaming(
+        &self,
+        sink: &mut dyn CheckpointSink,
+    ) -> Result<CkptStats, SinkClosed> {
+        self.checkpoint_walk(sink, None).map(|pre| pre.ckpt)
+    }
+
+    /// The checkpoint walk.  `precopy` decides only *where the world
+    /// stops*; everything else — planning, capture, emission, payloads,
+    /// stats — is one body.
+    ///
+    /// * `None` — **stop-the-world**: plugins quiesce before the bulk
+    ///   pass, so the whole image streams with the application stopped
+    ///   (zero delta rounds, exact maximal runs) and the stop window is
+    ///   O(image).
+    /// * `Some(cfg)` — **pre-copy**, the VM-live-migration shape: the bulk
+    ///   pass streams **concurrently with execution** (mutators keep
+    ///   running; a consistent view of each page comes from the
+    ///   copy-on-write page store), iterative rounds re-stream only the
+    ///   runs re-dirtied since the previous round's epoch until the
+    ///   residual delta fits [`PrecopyConfig::convergence_pages`] or
+    ///   [`PrecopyConfig::max_rounds`] hits, and only then do plugins
+    ///   quiesce for a final pass that captures the last delta zero-copy
+    ///   (as `Arc` clones) — the stop window is proportional to the
+    ///   residual dirty delta, not the image.
+    ///
+    /// Either way plugins resume as soon as the final delta and the plugin
+    /// payloads are captured, *before* those are pushed into the sink.
     ///
     /// The walk takes no timestamp: the sink's owner stamps the
     /// checkpoint's completion time itself (it may want to account for
@@ -219,69 +250,70 @@ impl Coordinator {
     /// failed checkpoint never leaves the application quiesced — and the
     /// marker is propagated for the sink's owner to translate into the
     /// real error.
-    pub fn checkpoint_streaming(
-        &self,
-        sink: &mut dyn CheckpointSink,
-    ) -> Result<CkptStats, SinkClosed> {
-        // crac-lint: allow(raw-instant) — stop-window timing lands in CkptStats/RestartStats, not an obs histogram
-        let t0 = Instant::now();
-        for p in &self.plugins {
-            p.pre_checkpoint();
-        }
-        let result = self.stream_regions(sink);
-        for p in &self.plugins {
-            p.resume();
-        }
-        // The whole walk ran quiesced, so the stop window *is* the walk:
-        // the O(image) pause pre-copy exists to shrink.  Recording it under
-        // the same metric makes the two modes directly comparable.
-        let window_us = t0.elapsed().as_micros() as u64;
-        self.obs
-            .histogram("crac_ckpt_stop_window_us", Buckets::LATENCY_US)
-            .observe(window_us);
-        self.obs.event(
-            EventKind::StopWindow,
-            format!("mode=stw window_us={window_us}"),
-        );
-        result
-    }
-
-    /// Takes a *pre-copy* checkpoint: the stop-the-world window is
-    /// proportional to the residual dirty delta, not the image.
     ///
-    /// The walk is the VM-live-migration shape.  First the whole image is
-    /// streamed **concurrently with execution** (mutators keep running; a
-    /// consistent view of each page comes from the copy-on-write page
-    /// store).  Then iterative rounds re-stream only the runs re-dirtied
-    /// since the previous round's epoch, until the residual delta fits
-    /// [`PrecopyConfig::convergence_pages`] or
-    /// [`PrecopyConfig::max_rounds`] hits.  Only then are plugins quiesced
-    /// for a short final pass that captures the last delta (zero-copy, as
-    /// `Arc` clones) plus plugin payloads; mutators resume *before* the
-    /// captured delta is pushed into the sink.
-    ///
-    /// The sink sees the same record grammar as
-    /// [`Coordinator::checkpoint_streaming`], except a region may be
-    /// re-opened (another `begin_region` with the same start address,
-    /// while no region is open) to carry a later round's runs — the sink
-    /// must apply later runs over earlier ones (last-write-wins).  All
-    /// `CheckpointSink` implementations in this workspace do.
+    /// A pre-copy walk may *re-open* a region (another `begin_region` with
+    /// the same start address, while no region is open) to carry a later
+    /// round's runs — the sink must apply later runs over earlier ones
+    /// (last-write-wins).  All `CheckpointSink` implementations in this
+    /// workspace do.
     ///
     /// Ranges mapped *after* the walk starts are captured whole in the
     /// final pass; ranges unmapped mid-walk keep their last pre-copied
     /// content in the image.  Both are counted in
     /// [`PrecopyStats::layout_drift`].
-    pub fn checkpoint_precopy(
+    pub fn checkpoint_walk(
         &self,
         sink: &mut dyn CheckpointSink,
-        cfg: &PrecopyConfig,
+        precopy: Option<&PrecopyConfig>,
     ) -> Result<PrecopyStats, SinkClosed> {
+        let mut stopped_at = None;
+        let result = self.walk(sink, precopy, &mut stopped_at);
+        if stopped_at.is_some() {
+            // The sink closed inside the stop window.
+            for p in &self.plugins {
+                p.resume();
+            }
+        }
+        result
+    }
+
+    /// Quiesces every plugin, opening the stop window.
+    fn stop_the_world(&self, stopped_at: &mut Option<Instant>) {
+        // crac-lint: allow(raw-instant) — stop-window timing lands in CkptStats/RestartStats, not an obs histogram
+        *stopped_at = Some(Instant::now());
+        for p in &self.plugins {
+            p.pre_checkpoint();
+        }
+    }
+
+    /// The body of [`Coordinator::checkpoint_walk`].  `stopped_at` is
+    /// `Some` exactly while plugins are quiesced, so the caller can resume
+    /// them if the sink closes mid-window.
+    fn walk(
+        &self,
+        sink: &mut dyn CheckpointSink,
+        precopy: Option<&PrecopyConfig>,
+        stopped_at: &mut Option<Instant>,
+    ) -> Result<PrecopyStats, SinkClosed> {
+        // Stop-the-world is the same walk with the quiesce in front of the
+        // bulk pass: nothing can re-dirty, so no delta round ever runs.
+        const STW: PrecopyConfig = PrecopyConfig {
+            max_rounds: 0,
+            convergence_pages: 0,
+            max_run_gap: 0,
+            adaptive_rounds: false,
+        };
+        let cfg = precopy.unwrap_or(&STW);
+        let live = precopy.is_some();
         let round_bytes_h = self
             .obs
             .histogram("crac_precopy_round_bytes", Buckets::SIZE_BYTES);
         let rounds_c = self.obs.counter("crac_precopy_rounds");
         let mut stats = CkptStats::default();
         let mut pre = PrecopyStats::default();
+        if !live {
+            self.stop_the_world(stopped_at);
+        }
 
         // Epoch boundary and merged view taken atomically: every write
         // from here on is stamped at or above `epoch`.
@@ -305,9 +337,9 @@ impl Coordinator {
             }
         }
 
-        // Round 0: bulk copy of every planned range, concurrent with
-        // execution.  Every region is declared here (even all-zero ones),
-        // so later rounds only ever *re-open*.
+        // Round 0: bulk copy of every planned range.  Every region is
+        // declared here (even all-zero ones), so later rounds only ever
+        // *re-open*.
         let mut bulk = 0u64;
         for desc in &plan {
             sink.begin_region(desc)?;
@@ -319,19 +351,23 @@ impl Coordinator {
         }
         stats.stored_bytes += bulk;
         pre.round_bytes.push(bulk);
-        round_bytes_h.observe(bulk);
-        rounds_c.inc();
-        self.obs.event(
-            EventKind::PrecopyRound,
-            format!("round=0 kind=bulk bytes={bulk}"),
-        );
+        // A stop-the-world walk has no rounds to narrate: it stays out of
+        // the pre-copy metrics and the event ring.
+        if live {
+            round_bytes_h.observe(bulk);
+            rounds_c.inc();
+            self.obs.event(
+                EventKind::PrecopyRound,
+                format!("round=0 kind=bulk bytes={bulk}"),
+            );
+        }
 
         // Iterative delta rounds: chase the re-dirtied runs until the
         // residual delta is small enough to stop the world for.
         loop {
             let residual: u64 = self.space.with(|s| {
                 plan.iter()
-                    .map(|d| count_dirty_since(s, d.start, d.len, epoch))
+                    .map(|d| pages_since(s, d.start, d.len, epoch).count() as u64)
                     .sum()
             });
             if residual <= cfg.convergence_pages {
@@ -392,12 +428,12 @@ impl Coordinator {
             }
         }
 
-        // Final stop-the-world pass: quiesce, capture the last delta as
-        // Arc clones (no content copied inside the window), resume.
-        // crac-lint: allow(raw-instant) — stop-window timing lands in CkptStats/RestartStats, not an obs histogram
-        let t0 = Instant::now();
-        for p in &self.plugins {
-            p.pre_checkpoint();
+        // Final pass with the world stopped: capture the last delta as Arc
+        // clones (no content copied inside the window), resume.  A
+        // stop-the-world walk has been quiesced since before the plan, so
+        // it finds nothing left to capture.
+        if live {
+            self.stop_the_world(stopped_at);
         }
         let (final_caps, extras, gone) = self.space.with_mut(|s| {
             let now_entries = s.proc_maps();
@@ -470,7 +506,7 @@ impl Coordinator {
         for p in &self.plugins {
             p.resume();
         }
-        let window = t0.elapsed();
+        let window = stopped_at.take().map_or(Duration::ZERO, |t0| t0.elapsed());
         pre.stop_window_ns = window.as_nanos() as u64;
         pre.layout_drift = gone + extras.len();
         pre.final_dirty_pages = final_caps.iter().map(|c| c.dirty_pages).sum::<u64>()
@@ -482,8 +518,11 @@ impl Coordinator {
         self.obs.event(
             EventKind::StopWindow,
             format!(
-                "mode=precopy window_us={window_us} dirty_pages={} rounds={} converged={}",
-                pre.final_dirty_pages, pre.rounds, pre.converged
+                "mode={} window_us={window_us} dirty_pages={} rounds={} converged={}",
+                if live { "precopy" } else { "stw" },
+                pre.final_dirty_pages,
+                pre.rounds,
+                pre.converged
             ),
         );
 
@@ -506,7 +545,9 @@ impl Coordinator {
         }
         stats.stored_bytes += final_bytes;
         pre.round_bytes.push(final_bytes);
-        round_bytes_h.observe(final_bytes);
+        if live {
+            round_bytes_h.observe(final_bytes);
+        }
         for (name, data) in &payloads {
             sink.payload(name, data)?;
             stats.image_bytes += data.len() as u64;
@@ -538,68 +579,6 @@ impl Coordinator {
             RegionDecision::Skip => None,
             RegionDecision::SaveRanges(rs) => Some(rs),
         }
-    }
-
-    /// The shared walk behind both stop-the-world checkpoint flavours —
-    /// and the one-round degenerate case of the pre-copy walk: capture a
-    /// range, emit its runs, no epochs, no re-opens.
-    fn stream_regions(&self, sink: &mut dyn CheckpointSink) -> Result<CkptStats, SinkClosed> {
-        let mut stats = CkptStats::default();
-        let entries = self.space.with(|s| s.proc_maps());
-        for entry in &entries {
-            let ranges = match self.plan_entry(entry) {
-                Some(ranges) if !ranges.is_empty() => ranges,
-                _ => {
-                    stats.regions_skipped += 1;
-                    continue;
-                }
-            };
-            stats.regions_saved += 1;
-            for (start, len) in ranges {
-                let desc = RegionDescriptor {
-                    start,
-                    len,
-                    prot: entry.prot,
-                    label: entry.label.clone(),
-                };
-                sink.begin_region(&desc)?;
-                stats.stored_bytes += self.stream_range(start, len, sink)?;
-                sink.end_region()?;
-                stats.image_bytes += len;
-            }
-        }
-
-        for p in &self.plugins {
-            let payload = p.payload();
-            if !payload.is_empty() {
-                sink.payload(p.name(), &payload)?;
-                stats.image_bytes += payload.len() as u64;
-                stats.stored_bytes += payload.len() as u64;
-            }
-        }
-
-        let effective_bytes = if self.config.gzip {
-            (stats.image_bytes as f64 / 2.5) as u64
-        } else {
-            stats.image_bytes
-        };
-        stats.write_ns = (effective_bytes as f64 / self.config.disk_write_bw).ceil() as u64;
-        Ok(stats)
-    }
-
-    /// Streams one saved range's dirty pages into `sink` as runs of at most
-    /// [`MAX_RUN_PAGES`] pages, returning the content bytes streamed.
-    ///
-    /// Content is captured as zero-copy `Arc` clones and copied one run
-    /// buffer at a time, which is the whole point of the streaming path.
-    fn stream_range(
-        &self,
-        start: Addr,
-        len: u64,
-        sink: &mut dyn CheckpointSink,
-    ) -> Result<u64, SinkClosed> {
-        let cap = self.space.with(|s| capture_range(s, start, len, 0, 0));
-        emit_runs(sink, &cap.runs)
     }
 
     /// Restores `image` into `space` (a fresh process on restart) and fires
@@ -635,8 +614,8 @@ impl Coordinator {
             }
             Ok(())
         })
-        // crac-lint: allow(no-unwrap) — the in-memory sink/source is statically infallible
-        .expect("in-memory restore source is infallible")
+        // crac-lint: allow(no-unwrap) — the in-memory source never closes, and an image this process captured maps back by construction
+        .expect("an in-memory image restores into a fresh space")
     }
 
     /// Restores a *streamed* checkpoint into `space`: `produce` receives a
@@ -651,27 +630,37 @@ impl Coordinator {
     /// plugins' `restart` hooks fire with their payloads, and the restart
     /// stats are returned.  When it returns [`SinkClosed`] the restore is
     /// abandoned mid-way — protections and plugin hooks are skipped (the
-    /// half-restored space must be thrown away) and the marker propagated
-    /// for the producer's owner to translate into the real error.
+    /// half-restored space must be thrown away) — and the cause comes back
+    /// as a [`RestoreError`]: [`RestoreError::Mem`] when the address space
+    /// refused something the image asked for (the cursor closed itself),
+    /// [`RestoreError::Closed`] when the producer stopped for reasons its
+    /// owner knows.
     pub fn restart_streaming(
         &self,
         space: &SharedSpace,
         produce: impl FnOnce(&mut RestoreCursor<'_>) -> Result<(), SinkClosed>,
-    ) -> Result<RestartStats, SinkClosed> {
+    ) -> Result<RestartStats, RestoreError> {
         let mut cursor = RestoreCursor {
             space,
             regions: Vec::new(),
             payloads: Vec::new(),
             logical_bytes: 0,
+            refused: None,
         };
-        produce(&mut cursor)?;
+        if produce(&mut cursor).is_err() {
+            return Err(cursor
+                .refused
+                .map_or(RestoreError::Closed, RestoreError::Mem));
+        }
 
         let mut stats = RestartStats::default();
         for (start, len, prot) in &cursor.regions {
             // Content was installed through the RW mapping; only now does
             // the recorded protection go on.
             if *prot != Prot::RW {
-                space.with_mut(|s| s.mprotect(*start, *len, *prot)).ok();
+                space
+                    .with_mut(|s| s.mprotect(*start, *len, *prot))
+                    .map_err(RestoreError::Mem)?;
             }
             stats.regions_restored += 1;
             stats.bytes_restored += len;
@@ -683,16 +672,20 @@ impl Coordinator {
         };
         stats.read_ns = (effective_bytes as f64 / self.config.disk_read_bw).ceil() as u64;
 
+        self.fire_restart_hooks(&cursor.payloads, space);
+        Ok(stats)
+    }
+
+    /// Fires every plugin's `restart` hook with its payload from the image
+    /// (empty when the image carries none for it).
+    fn fire_restart_hooks(&self, payloads: &[(String, Vec<u8>)], space: &SharedSpace) {
         for p in &self.plugins {
-            let payload = cursor
-                .payloads
+            let payload = payloads
                 .iter()
                 .find(|(name, _)| name == p.name())
-                .map(|(_, data)| data.clone())
-                .unwrap_or_default();
-            p.restart(&payload, space);
+                .map_or(&[][..], |(_, data)| data);
+            p.restart(payload, space);
         }
-        Ok(stats)
     }
 
     /// Restores a checkpoint *lazily* into `space`: regions are mapped at
@@ -711,26 +704,27 @@ impl Coordinator {
     /// `bytes_restored` counts the full logical size as usual, but
     /// `read_ns` is `0`: no content moved yet.  The restore session that
     /// services faults owns the I/O accounting.
+    ///
+    /// Fails — before the handler is installed or any hook fires — if the
+    /// address space refuses a region or an absent run of `decl`; the
+    /// half-mapped space must then be thrown away.
     pub fn restart_lazy(
         &self,
         space: &SharedSpace,
         decl: &LazyDeclaration,
         handler: Arc<dyn PageFaultHandler>,
-    ) -> RestartStats {
+    ) -> Result<RestartStats, MemError> {
         let mut stats = RestartStats::default();
         for desc in &decl.regions {
             // The recorded protection goes on immediately — unlike the
             // eager cursor there is no write-content-then-mprotect dance,
             // because `install_resident` is privileged and bypasses
             // protection bits when the fault handler fills pages in.
-            space
-                .mmap(
-                    MapRequest::anon(desc.len, Half::Upper, &desc.label)
-                        .at(desc.start)
-                        .prot(desc.prot),
-                )
-                // crac-lint: allow(no-unwrap) — restoring saved regions into a fresh space cannot collide; corrupt images already failed CRC
-                .expect("restoring a saved region must succeed");
+            space.mmap(
+                MapRequest::anon(desc.len, Half::Upper, &desc.label)
+                    .at(desc.start)
+                    .prot(desc.prot),
+            )?;
             stats.regions_restored += 1;
             stats.bytes_restored += desc.len;
         }
@@ -738,24 +732,15 @@ impl Coordinator {
             for (region, runs) in &decl.absent {
                 let start = decl.regions[*region].start;
                 for run in runs {
-                    s.declare_absent(start + run.first * PAGE_SIZE, run.count * PAGE_SIZE)
-                        // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-                        .expect("absent runs lie within freshly mapped regions");
+                    s.declare_absent(start + run.first * PAGE_SIZE, run.count * PAGE_SIZE)?;
                 }
             }
-        });
+            Ok::<(), MemError>(())
+        })?;
         space.install_fault_handler(handler);
 
-        for p in &self.plugins {
-            let payload = decl
-                .payloads
-                .iter()
-                .find(|(name, _)| name == p.name())
-                .map(|(_, data)| data.clone())
-                .unwrap_or_default();
-            p.restart(&payload, space);
-        }
-        stats
+        self.fire_restart_hooks(&decl.payloads, space);
+        Ok(stats)
     }
 }
 
@@ -795,24 +780,36 @@ struct Capture {
     dirty_pages: u64,
 }
 
+/// The materialised pages of `[start, start+len)` stamped at or after
+/// `since` (`0`: every materialised page), by range-relative page index.
+fn pages_since(
+    s: &AddressSpace,
+    start: Addr,
+    len: u64,
+    since: u64,
+) -> impl Iterator<Item = (u64, &crac_addrspace::Page)> {
+    s.regions()
+        .filter(move |region| region.overlaps(start, len))
+        .flat_map(move |region| {
+            region
+                .store
+                .pages_since(since)
+                .filter_map(move |(page_idx, page)| {
+                    let page_addr = region.start + page_idx * PAGE_SIZE;
+                    (page_addr >= start && page_addr + PAGE_SIZE <= start + len)
+                        .then(|| ((page_addr - start) / PAGE_SIZE, page))
+                })
+        })
+}
+
 /// Captures the pages of `[start, start+len)` stamped at or after `since`
-/// (`0` captures every materialised page), as zero-copy `Arc` clones.
-/// Runs are coalesced across gaps of up to `max_gap` clean pages, then
-/// split to at most [`MAX_RUN_PAGES`] pages each.  Call under the space
-/// lock; emission can then proceed without it.
+/// as zero-copy `Arc` clones.  Runs are coalesced across gaps of up to
+/// `max_gap` clean pages, then split to at most [`MAX_RUN_PAGES`] pages
+/// each.  Call under the space lock; emission can then proceed without it.
 fn capture_range(s: &AddressSpace, start: Addr, len: u64, since: u64, max_gap: u64) -> Capture {
-    let mut pages: Vec<(u64, Arc<[u8]>)> = Vec::new();
-    for region in s.regions() {
-        if !region.overlaps(start, len) {
-            continue;
-        }
-        for (page_idx, page) in region.store.pages_since(since) {
-            let page_addr = region.start + page_idx * PAGE_SIZE;
-            if page_addr >= start && page_addr + PAGE_SIZE <= start + len {
-                pages.push(((page_addr - start) / PAGE_SIZE, page.share()));
-            }
-        }
-    }
+    let mut pages: Vec<(u64, Arc<[u8]>)> = pages_since(s, start, len, since)
+        .map(|(idx, page)| (idx, page.share()))
+        .collect();
     pages.sort_by_key(|(idx, _)| *idx);
     let dirty_pages = pages.len() as u64;
     let runs = page_runs_coalesced(pages.iter().map(|(idx, _)| *idx), max_gap);
@@ -858,24 +855,6 @@ fn resident_page(s: &AddressSpace, range_start: Addr, rel_page: u64) -> Option<A
         .map(crac_addrspace::Page::share)
 }
 
-/// Counts the pages of `[start, start+len)` dirtied at or after `epoch` —
-/// the residual-delta probe the convergence check runs between rounds.
-fn count_dirty_since(s: &AddressSpace, start: Addr, len: u64, epoch: u64) -> u64 {
-    let mut n = 0u64;
-    for region in s.regions() {
-        if !region.overlaps(start, len) {
-            continue;
-        }
-        for (page_idx, _) in region.store.pages_since(epoch) {
-            let page_addr = region.start + page_idx * PAGE_SIZE;
-            if page_addr >= start && page_addr + PAGE_SIZE <= start + len {
-                n += 1;
-            }
-        }
-    }
-    n
-}
-
 /// Pushes captured runs into `sink`, materialising each run's bytes into
 /// one bounded buffer at a time.  Returns the content bytes streamed.
 fn emit_runs(sink: &mut dyn CheckpointSink, runs: &[CapturedRun]) -> Result<u64, SinkClosed> {
@@ -898,11 +877,11 @@ fn emit_runs(sink: &mut dyn CheckpointSink, runs: &[CapturedRun]) -> Result<u64,
 /// The coordinator's streaming-restore consumer: maps declared regions
 /// writable and installs page runs the moment they arrive.
 ///
-/// Obtained through [`Coordinator::restart_streaming`].  The cursor itself
-/// never reports [`SinkClosed`] — a fresh address space accepts every
-/// well-formed record, and a malformed one (overlapping regions, a run
-/// outside its region) is a producer bug that panics exactly as the
-/// legacy materialised restore did.
+/// Obtained through [`Coordinator::restart_streaming`].  A fresh address
+/// space accepts every well-formed record; when it refuses one (a
+/// zero-length, unaligned or out-of-half region, a run outside its
+/// mapping) the cursor parks the [`MemError`], reports [`SinkClosed`] to
+/// stop the producer, and `restart_streaming` returns the parked cause.
 pub struct RestoreCursor<'a> {
     space: &'a SharedSpace,
     /// Declared regions, in declaration order: `(start, len, prot)`.
@@ -913,6 +892,15 @@ pub struct RestoreCursor<'a> {
     /// Logical bytes restored (regions + payloads) — drives the modelled
     /// read time.
     logical_bytes: u64,
+    /// The first thing the address space refused.
+    refused: Option<MemError>,
+}
+
+impl RestoreCursor<'_> {
+    fn refuse(&mut self, e: MemError) -> SinkClosed {
+        self.refused.get_or_insert(e);
+        SinkClosed
+    }
 }
 
 impl RestoreSink for RestoreCursor<'_> {
@@ -925,8 +913,7 @@ impl RestoreSink for RestoreCursor<'_> {
                     .at(desc.start)
                     .prot(Prot::RW),
             )
-            // crac-lint: allow(no-unwrap) — restoring saved regions into a fresh space cannot collide; corrupt images already failed CRC
-            .expect("restoring a saved region must succeed");
+            .map_err(|e| self.refuse(e))?;
         self.regions.push((desc.start, desc.len, desc.prot));
         self.logical_bytes += desc.len;
         Ok(())
@@ -939,16 +926,14 @@ impl RestoreSink for RestoreCursor<'_> {
         bytes: &[u8],
     ) -> Result<(), SinkClosed> {
         debug_assert_eq!(bytes.len() as u64, run.count * PAGE_SIZE);
-        let (start, _, _) = self
+        let (start, _, _) = *self
             .regions
             .get(region)
             // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
             .expect("page_run targets an undeclared region");
         self.space
-            .write_bytes(*start + run.first * PAGE_SIZE, bytes)
-            // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-            .expect("page restore within freshly mapped region");
-        Ok(())
+            .write_bytes(start + run.first * PAGE_SIZE, bytes)
+            .map_err(|e| self.refuse(e))
     }
 
     fn payload(&mut self, name: &str, data: &[u8]) -> Result<(), SinkClosed> {
@@ -1090,7 +1075,7 @@ mod tests {
         let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
         let mut sink = ImageSink::default();
         let pre = coord
-            .checkpoint_precopy(&mut sink, &PrecopyConfig::default())
+            .checkpoint_walk(&mut sink, Some(&PrecopyConfig::default()))
             .unwrap();
         assert!(pre.converged, "nothing mutates, so round 0 must suffice");
         assert_eq!(pre.rounds, 0);
@@ -1178,7 +1163,7 @@ mod tests {
             max_run_gap: 0,
             adaptive_rounds: false,
         };
-        let pre = coord.checkpoint_precopy(&mut sink, &cfg).unwrap();
+        let pre = coord.checkpoint_walk(&mut sink, Some(&cfg)).unwrap();
         assert!(
             !pre.converged,
             "every round re-dirties a page, so the cap must hit"
@@ -1222,7 +1207,7 @@ mod tests {
             max_run_gap: 0,
             adaptive_rounds: true,
         };
-        let pre = coord.checkpoint_precopy(&mut sink, &cfg).unwrap();
+        let pre = coord.checkpoint_walk(&mut sink, Some(&cfg)).unwrap();
         assert!(
             pre.adaptive_stop,
             "a plateauing delta must trip the adaptive stop"
@@ -1262,12 +1247,12 @@ mod tests {
         let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
         let mut sink = ImageSink::default();
         let pre = coord
-            .checkpoint_precopy(
+            .checkpoint_walk(
                 &mut sink,
-                &PrecopyConfig {
+                Some(&PrecopyConfig {
                     max_run_gap: 1,
                     ..Default::default()
-                },
+                }),
             )
             .unwrap();
         // Bridging emits the clean pages too: one 9-page run, not five.
@@ -1340,7 +1325,9 @@ mod tests {
             space: fresh.clone(),
             faults: Default::default(),
         });
-        let stats = coord.restart_lazy(&fresh, &decl, Arc::clone(&handler) as _);
+        let stats = coord
+            .restart_lazy(&fresh, &decl, Arc::clone(&handler) as _)
+            .unwrap();
 
         // Resumable immediately: skeleton mapped, nothing read, plugins
         // fired with their manifest payloads.

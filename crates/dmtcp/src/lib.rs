@@ -31,5 +31,6 @@ pub use cursor::ByteCursor;
 pub use image::{CheckpointImage, SavedRegion};
 pub use plugin::{DmtcpPlugin, PluginEvent, RegionDecision};
 pub use stream::{
-    CheckpointSink, ImageSink, RegionDescriptor, RestoreSink, SinkClosed, MAX_RUN_PAGES,
+    CheckpointSink, ImageSink, RegionDescriptor, RestoreError, RestoreSink, SinkClosed,
+    MAX_RUN_PAGES,
 };

@@ -24,7 +24,7 @@
 //! restore walk likewise consumes a [`RestoreSink`] fed from either) — the
 //! checkpoint/restart walks never learn where the bytes live.
 
-use crac_addrspace::{Addr, PageRun, Prot, PAGE_SIZE};
+use crac_addrspace::{Addr, MemError, PageRun, Prot, PAGE_SIZE};
 
 use crate::image::{CheckpointImage, SavedRegion};
 
@@ -56,6 +56,18 @@ pub struct RegionDescriptor {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SinkClosed;
 
+/// Why [`Coordinator::restart_streaming`](crate::Coordinator::restart_streaming)
+/// abandoned a restore.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The producer stopped feeding; its owner holds the real error.
+    Closed,
+    /// The address space refused something the image asked for — a
+    /// zero-length, unaligned or out-of-half region, a run outside its
+    /// mapping, a protection that would not apply.
+    Mem(MemError),
+}
+
 /// Consumer of a streamed checkpoint.
 ///
 /// Calls arrive in a strict order the producer guarantees:
@@ -69,8 +81,8 @@ pub struct SinkClosed;
 /// `Err(SinkClosed)`; the producer then stops immediately (plugins are
 /// still resumed) and propagates the marker.
 ///
-/// A pre-copy producer ([`Coordinator::checkpoint_precopy`](crate::Coordinator::checkpoint_precopy))
-/// may *re-open* a region — another `begin_region` whose `start` matches an
+/// A pre-copy producer ([`Coordinator::checkpoint_walk`](crate::Coordinator::checkpoint_walk)
+/// with a `PrecopyConfig`) may *re-open* a region — another `begin_region` whose `start` matches an
 /// earlier region's, while no region is open — to carry a later round's
 /// re-dirtied runs.  The sink must resolve overlaps **last-write-wins**:
 /// where a re-emitted run covers a page from an earlier round, the later

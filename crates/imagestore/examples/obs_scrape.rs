@@ -7,7 +7,10 @@
 use crac_addrspace::{Half, MapRequest, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{Coordinator, CoordinatorConfig};
 use crac_imagestore::testutil::TempDir;
-use crac_imagestore::{CoordinatorStoreExt, ImageStore, LoopbackTransport, WriteOptions};
+use crac_imagestore::{
+    checkpoint_to, restore, CkptTarget, ImageSource, ImageStore, LoopbackTransport, StreamReader,
+    WriteOptions,
+};
 
 fn main() {
     let space = SharedSpace::new_no_aslr();
@@ -24,9 +27,8 @@ fn main() {
     let coord = Coordinator::new(space, CoordinatorConfig::default());
     let dir = TempDir::new("obs-scrape");
     let store = ImageStore::open(dir.path()).unwrap();
-    let (id, _, _) = coord
-        .checkpoint_to_store(&store, 0, &WriteOptions::full())
-        .unwrap();
+    let target = CkptTarget::Store(&store, WriteOptions::full());
+    let (id, _, _) = checkpoint_to(&coord, target, None, |_| 0).unwrap();
 
     let peer_dir = TempDir::new("obs-scrape-peer");
     let peer = ImageStore::open(peer_dir.path()).unwrap();
@@ -35,7 +37,8 @@ fn main() {
         .unwrap();
 
     let fresh = SharedSpace::new_no_aslr();
-    coord.restart_from_store(&store, id, &fresh).unwrap();
+    let reader = StreamReader::open(ImageSource::Store(&store), id, coord.obs()).unwrap();
+    restore(reader, false, |install| install(&coord, &fresh)).unwrap();
 
     print!("{}", coord.obs().render_text());
     eprintln!("--- events ---");

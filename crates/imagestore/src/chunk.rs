@@ -1,4 +1,5 @@
-//! Splitting a [`SavedRegion`]'s dirty pages into content-addressed chunks.
+//! Splitting a checkpoint's dirty pages into content-addressed chunks, and
+//! the manifest bookkeeping every streaming sink shares.
 //!
 //! Chunk boundaries follow the region's dirty-page *runs* (maximal spans of
 //! consecutive dirty pages, via `crac_addrspace::page_runs`), split to at
@@ -6,30 +7,37 @@
 //! stable across checkpoints: a page written between two checkpoints only
 //! perturbs the chunks of its own run, so every other chunk re-hashes to the
 //! same content hash and is deduplicated away by the incremental writer.
+//!
+//! `ManifestBuilder` is the *one* place the boundary rules
+//! (`RunChunker`), the region re-open / last-write-wins contract
+//! (`trim_superseded`) and the manifest's shape live.  Both
+//! [`crate::stream::ChunkSink`]s — the local
+//! [`crate::writer::StreamWriter`] and the remote
+//! [`crate::remote::RemoteChunkSink`] — feed their records through it, so
+//! for a fixed input they produce the same chunk names and the same
+//! manifest bytes whether the image lands on disk or on a peer: identical
+//! boundaries are what make content hashes (and therefore dedup, local
+//! *and* cross-node) line up.
 
 use crac_addrspace::{PageRun, PAGE_SIZE};
-use crac_dmtcp::SavedRegion;
+use crac_dmtcp::RegionDescriptor;
 
+use crate::codec::Compression;
 use crate::error::StoreError;
+use crate::format::{ChunkEntry, Manifest, RegionEntry};
 use crate::hash::ContentHash;
+use crate::store::ImageId;
 
 /// Maximum pages per chunk (16 × 4 KiB = 64 KiB raw), balancing dedup
 /// granularity against per-chunk metadata and file-count overhead.
 pub const CHUNK_PAGES: u64 = 16;
 
-/// Incremental run-to-chunk packer: the *one* place the chunk-boundary
-/// rules live for streaming sinks.
-///
-/// Every `ChunkSink` that accepts page runs — the local
-/// [`crate::writer::StreamWriter`], the remote
-/// [`crate::remote::RemoteChunkSink`] — must split identically, because
-/// identical boundaries are what make content hashes (and therefore
-/// dedup, local *and* cross-node) line up.  Both push runs through this
-/// type: it packs them into ≤[`CHUNK_PAGES`]-page chunks, calling `emit`
-/// with each filled chunk's `(runs, raw bytes)`; [`RunChunker::flush`]
-/// emits the partial trailing chunk at region end.
+/// Incremental run-to-chunk packer: packs page runs into
+/// ≤[`CHUNK_PAGES`]-page chunks, appending each filled chunk's
+/// `(runs, raw bytes)` to `out`; [`RunChunker::flush`] emits the partial
+/// trailing chunk at region end.
 #[derive(Debug, Default)]
-pub struct RunChunker {
+struct RunChunker {
     runs: Vec<PageRun>,
     buf: Vec<u8>,
     pages: u64,
@@ -38,12 +46,7 @@ pub struct RunChunker {
 impl RunChunker {
     /// Packs `run` (whose payload is `bytes`) into the staged chunk,
     /// emitting every chunk that fills up along the way.
-    pub fn push(
-        &mut self,
-        run: PageRun,
-        bytes: &[u8],
-        emit: &mut dyn FnMut(Vec<PageRun>, Vec<u8>) -> Result<(), StoreError>,
-    ) -> Result<(), StoreError> {
+    fn push(&mut self, run: PageRun, bytes: &[u8], out: &mut Vec<(Vec<PageRun>, Vec<u8>)>) {
         debug_assert_eq!(bytes.len() as u64, run.count * PAGE_SIZE);
         let mut first = run.first;
         let mut offset = 0usize;
@@ -59,183 +62,267 @@ impl RunChunker {
             offset += len;
             remaining -= take;
             if self.pages == CHUNK_PAGES {
-                self.flush(emit)?;
+                self.flush(out);
             }
         }
-        Ok(())
     }
 
     /// Emits the partial staged chunk, if any (call at region end).
-    pub fn flush(
-        &mut self,
-        emit: &mut dyn FnMut(Vec<PageRun>, Vec<u8>) -> Result<(), StoreError>,
-    ) -> Result<(), StoreError> {
+    fn flush(&mut self, out: &mut Vec<(Vec<PageRun>, Vec<u8>)>) {
         if self.runs.is_empty() {
-            return Ok(());
+            return;
         }
         self.pages = 0;
-        emit(
+        out.push((
             std::mem::take(&mut self.runs),
             std::mem::take(&mut self.buf),
-        )
-    }
-
-    /// `true` when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        ));
     }
 }
 
 /// Retains, in order, only the chunk entries still contributing at least
 /// one page once later entries are applied last-write-wins — the manifest
 /// trim for pre-copy checkpoints, where a later round's re-emitted runs
-/// can fully supersede an earlier round's chunk.  `runs_of` projects an
-/// entry's page runs.
-pub(crate) fn trim_superseded<T>(chunks: &mut Vec<T>, runs_of: impl Fn(&T) -> &[PageRun]) {
+/// can fully supersede an earlier round's chunk.
+fn trim_superseded(chunks: &mut Vec<PendingChunk>) {
     if chunks.len() < 2 {
         return;
     }
     let mut covered = std::collections::HashSet::new();
     let mut keep = vec![false; chunks.len()];
     for (i, c) in chunks.iter().enumerate().rev() {
-        let mut contributes = false;
-        for run in runs_of(c) {
-            for page in run.pages() {
-                if covered.insert(page) {
-                    contributes = true;
-                }
-            }
+        for page in c.runs.iter().flat_map(|r| r.pages()) {
+            keep[i] |= covered.insert(page);
         }
-        keep[i] = contributes;
     }
-    let mut flags = keep.iter();
-    // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-    chunks.retain(|_| *flags.next().expect("one flag per chunk"));
+    let mut flags = keep.into_iter();
+    chunks.retain(|_| flags.next().unwrap_or(true));
 }
 
-/// A chunk not yet hashed or encoded: which pages of which region it covers,
-/// and their raw bytes.
-#[derive(Clone, Debug)]
-pub struct ChunkJob {
-    /// Index of the source region within the image's region list.
-    pub region_index: usize,
-    /// The page runs (indices relative to the region start) this chunk
-    /// covers, in increasing order.
-    pub runs: Vec<PageRun>,
-    /// Concatenated page bytes in run order; length is a multiple of
-    /// [`PAGE_SIZE`].
-    pub raw: Vec<u8>,
+/// Where a packed chunk sits in the manifest under construction:
+/// `(region, chunk)` indices.  Handed out with each chunk so a sink that
+/// learns the content hash later (the writer's encoder threads) can report
+/// it back with [`ManifestBuilder::set_hash`].
+pub(crate) type ChunkSlot = (usize, usize);
+
+/// A packed chunk on its way into a sink's pipeline: its manifest slot and
+/// its raw bytes.
+pub(crate) type PackedChunk = (ChunkSlot, Vec<u8>);
+
+/// A chunk's manifest entry in the making: its geometry is known when it
+/// is packed, its content hash once the sink has computed it.
+#[derive(Debug)]
+struct PendingChunk {
+    runs: Vec<PageRun>,
+    raw_len: u64,
+    hash: Option<ContentHash>,
 }
 
-impl ChunkJob {
-    /// Number of pages in the chunk.
-    pub fn page_count(&self) -> u64 {
-        self.runs.iter().map(|r| r.count).sum()
-    }
-
-    /// Content hash of the raw bytes.
-    pub fn content_hash(&self) -> ContentHash {
-        ContentHash::of(&self.raw)
-    }
-}
-
-/// Splits one region's dirty pages into chunk jobs.
+/// The bookkeeping between a [`crate::stream::ChunkSink`]'s records and the
+/// manifest they become: which region is open (a start address seen before
+/// *re-opens* that region for a later pre-copy round), the chunker, every
+/// chunk's runs and — once the sink knows it — content hash, the payloads.
 ///
-/// `region_index` is recorded into each job so parallel workers can be
-/// handed a flat job list across all regions.
-pub fn chunk_region(region_index: usize, region: &SavedRegion) -> Vec<ChunkJob> {
-    let runs = region.page_runs();
-    // Page bytes keyed by index for O(log n) lookup while assembling runs.
-    let by_index: std::collections::BTreeMap<u64, &[u8]> = region
-        .pages
-        .iter()
-        .map(|(idx, bytes)| (*idx, bytes.as_slice()))
-        .collect();
+/// Ordering violations are real errors, not debug assertions: sinks are
+/// driven by remote producers (a checkpoint streaming in over a socket),
+/// and a misbehaving producer must surface as [`StoreError::Protocol`] on
+/// the wire, never abort the serving process.
+#[derive(Debug, Default)]
+pub(crate) struct ManifestBuilder {
+    open: Option<usize>,
+    chunker: RunChunker,
+    regions: Vec<(RegionDescriptor, Vec<PendingChunk>)>,
+    payloads: Vec<(String, Vec<u8>)>,
+    /// Virtual checkpoint-completion time stamped into the manifest.
+    pub(crate) taken_at_ns: u64,
+}
 
-    let mut jobs: Vec<ChunkJob> = Vec::new();
-    let mut cur_runs: Vec<PageRun> = Vec::new();
-    let mut cur_pages = 0u64;
-    let mut flush = |cur_runs: &mut Vec<PageRun>, cur_pages: &mut u64| {
-        if cur_runs.is_empty() {
-            return;
+impl ManifestBuilder {
+    /// Opens a region.  A start address seen before re-opens that region:
+    /// the new chunks land *after* the earlier ones in its chunk list,
+    /// which is exactly the order the restore side's last-write-wins
+    /// resolution relies on.
+    pub(crate) fn begin_region(&mut self, desc: &RegionDescriptor) -> Result<(), StoreError> {
+        if self.open.is_some() {
+            return Err(StoreError::protocol(
+                "begin_region while a region is already open",
+            ));
         }
-        let mut raw = Vec::with_capacity((*cur_pages * PAGE_SIZE) as usize);
-        for run in cur_runs.iter() {
-            for page in run.pages() {
-                let bytes = by_index[&page];
-                debug_assert_eq!(bytes.len(), PAGE_SIZE as usize);
-                raw.extend_from_slice(bytes);
-            }
-        }
-        jobs.push(ChunkJob {
-            region_index,
-            runs: std::mem::take(cur_runs),
-            raw,
-        });
-        *cur_pages = 0;
-    };
-
-    for run in runs {
-        // Split oversized runs into CHUNK_PAGES pieces first.
-        let mut first = run.first;
-        let mut remaining = run.count;
-        while remaining > 0 {
-            let space = CHUNK_PAGES - cur_pages;
-            let take = remaining.min(space);
-            cur_runs.push(PageRun { first, count: take });
-            cur_pages += take;
-            first += take;
-            remaining -= take;
-            if cur_pages == CHUNK_PAGES {
-                flush(&mut cur_runs, &mut cur_pages);
-            }
-        }
+        let existing = self.regions.iter().position(|(r, _)| r.start == desc.start);
+        self.open = Some(existing.unwrap_or_else(|| {
+            self.regions.push((desc.clone(), Vec::new()));
+            self.regions.len() - 1
+        }));
+        Ok(())
     }
-    flush(&mut cur_runs, &mut cur_pages);
-    jobs
+
+    /// Packs one run of the open region, returning the chunks it filled.
+    pub(crate) fn push_run(
+        &mut self,
+        run: PageRun,
+        bytes: &[u8],
+    ) -> Result<Vec<PackedChunk>, StoreError> {
+        let Some(region) = self.open else {
+            return Err(StoreError::protocol("push_run outside any open region"));
+        };
+        if bytes.len() as u64 != run.count * PAGE_SIZE {
+            return Err(StoreError::protocol(format!(
+                "push_run payload is {} bytes but the run declares {} pages",
+                bytes.len(),
+                run.count
+            )));
+        }
+        let mut packed = Vec::new();
+        self.chunker.push(run, bytes, &mut packed);
+        Ok(self.record(region, packed))
+    }
+
+    /// Closes the open region, returning its index and the trailing
+    /// partial chunk if one was staged.
+    pub(crate) fn end_region(&mut self) -> Result<(usize, Vec<PackedChunk>), StoreError> {
+        let Some(region) = self.open else {
+            return Err(StoreError::protocol("end_region without begin_region"));
+        };
+        let mut packed = Vec::new();
+        self.chunker.flush(&mut packed);
+        let tail = self.record(region, packed);
+        self.open = None;
+        Ok((region, tail))
+    }
+
+    /// Enters freshly packed chunks into region `region`'s chunk list.
+    fn record(&mut self, region: usize, packed: Vec<(Vec<PageRun>, Vec<u8>)>) -> Vec<PackedChunk> {
+        let chunks = &mut self.regions[region].1;
+        packed
+            .into_iter()
+            .map(|(runs, raw)| {
+                chunks.push(PendingChunk {
+                    runs,
+                    raw_len: raw.len() as u64,
+                    hash: None,
+                });
+                ((region, chunks.len() - 1), raw)
+            })
+            .collect()
+    }
+
+    /// Records the content hash of the chunk at `slot`.
+    pub(crate) fn set_hash(&mut self, (region, chunk): ChunkSlot, hash: ContentHash) {
+        self.regions[region].1[chunk].hash = Some(hash);
+    }
+
+    /// Region `index`'s descriptor and how many chunks it holds so far.
+    pub(crate) fn region(&self, index: usize) -> (&RegionDescriptor, usize) {
+        let (desc, chunks) = &self.regions[index];
+        (desc, chunks.len())
+    }
+
+    /// One named plugin payload.
+    pub(crate) fn push_payload(&mut self, name: &str, data: &[u8]) {
+        self.payloads.push((name.to_string(), data.to_vec()));
+    }
+
+    /// Total plugin payload bytes pushed so far.
+    pub(crate) fn payload_bytes(&self) -> u64 {
+        self.payloads.iter().map(|(_, d)| d.len() as u64).sum()
+    }
+
+    /// Assembles the manifest: drops chunk entries fully superseded by
+    /// later rounds' re-emitted runs (every page they cover is re-covered
+    /// by a later entry, so no fetch plan would ever read a byte from them;
+    /// their chunk files stay — valid, unreferenced, GC-sweepable) and
+    /// sorts payloads by name, so the manifest is deterministic regardless
+    /// of producer payload order.  Fails if a region is still open or a
+    /// chunk's hash was never reported.
+    pub(crate) fn finish(
+        mut self,
+        image_id: ImageId,
+        parent: Option<ImageId>,
+        compression: Compression,
+    ) -> Result<Manifest, StoreError> {
+        if self.open.is_some() {
+            return Err(StoreError::protocol(
+                "finish called with a region still open",
+            ));
+        }
+        self.payloads.sort_by(|(a, _), (b, _)| a.cmp(b));
+        let mut regions = Vec::with_capacity(self.regions.len());
+        for (desc, mut pending) in self.regions {
+            trim_superseded(&mut pending);
+            let mut chunks = Vec::with_capacity(pending.len());
+            for c in pending {
+                chunks.push(ChunkEntry {
+                    runs: c.runs,
+                    hash: c
+                        .hash
+                        .ok_or_else(|| StoreError::busy("sink pipeline lost a chunk's hash"))?,
+                    raw_len: c.raw_len,
+                });
+            }
+            regions.push(RegionEntry {
+                start: desc.start.as_u64(),
+                len: desc.len,
+                prot: desc.prot,
+                label: desc.label,
+                chunks,
+            });
+        }
+        Ok(Manifest {
+            image_id,
+            parent,
+            taken_at_ns: self.taken_at_ns,
+            compression,
+            regions,
+            payloads: self.payloads,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crac_addrspace::{Addr, Prot};
 
-    fn page(byte: u8) -> Vec<u8> {
-        vec![byte; PAGE_SIZE as usize]
+    /// Chunks `RunChunker` packs from the maximal runs of `indices`, page
+    /// `i` filled with `fill(i)`.
+    fn chunk_pages(indices: &[u64], fill: impl Fn(u64) -> u8) -> Vec<(Vec<PageRun>, Vec<u8>)> {
+        let mut chunker = RunChunker::default();
+        let mut out = Vec::new();
+        for run in crac_addrspace::page_runs(indices.iter().copied()) {
+            let bytes: Vec<u8> = run
+                .pages()
+                .flat_map(|p| vec![fill(p); PAGE_SIZE as usize])
+                .collect();
+            chunker.push(run, &bytes, &mut out);
+        }
+        chunker.flush(&mut out);
+        out
     }
 
-    fn region_with_pages(indices: &[u64]) -> SavedRegion {
-        SavedRegion {
-            start: Addr(0x4000_0000_0000),
-            len: 1 << 20,
-            prot: Prot::RW,
-            label: "test".into(),
-            pages: indices.iter().map(|&i| (i, page(i as u8))).collect(),
-        }
+    fn page_count(runs: &[PageRun]) -> u64 {
+        runs.iter().map(|r| r.count).sum()
     }
 
     #[test]
     fn contiguous_pages_form_one_chunk() {
-        let region = region_with_pages(&[0, 1, 2, 3]);
-        let jobs = chunk_region(0, &region);
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].runs, vec![PageRun { first: 0, count: 4 }]);
-        assert_eq!(jobs[0].raw.len(), 4 * PAGE_SIZE as usize);
+        let chunks = chunk_pages(&[0, 1, 2, 3], |p| p as u8);
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].0, vec![PageRun { first: 0, count: 4 }]);
+        assert_eq!(chunks[0].1.len(), 4 * PAGE_SIZE as usize);
         // Bytes are in page order.
-        assert_eq!(jobs[0].raw[0], 0);
-        assert_eq!(jobs[0].raw[PAGE_SIZE as usize], 1);
+        assert_eq!(chunks[0].1[0], 0);
+        assert_eq!(chunks[0].1[PAGE_SIZE as usize], 1);
     }
 
     #[test]
     fn long_runs_split_at_chunk_pages() {
         let indices: Vec<u64> = (0..CHUNK_PAGES * 2 + 3).collect();
-        let jobs = chunk_region(0, &region_with_pages(&indices));
-        assert_eq!(jobs.len(), 3);
-        assert_eq!(jobs[0].page_count(), CHUNK_PAGES);
-        assert_eq!(jobs[1].page_count(), CHUNK_PAGES);
-        assert_eq!(jobs[2].page_count(), 3);
+        let chunks = chunk_pages(&indices, |p| p as u8);
+        assert_eq!(chunks.len(), 3);
+        assert_eq!(page_count(&chunks[0].0), CHUNK_PAGES);
+        assert_eq!(page_count(&chunks[1].0), CHUNK_PAGES);
+        assert_eq!(page_count(&chunks[2].0), 3);
         assert_eq!(
-            jobs[1].runs,
+            chunks[1].0,
             vec![PageRun {
                 first: CHUNK_PAGES,
                 count: CHUNK_PAGES
@@ -245,34 +332,34 @@ mod tests {
 
     #[test]
     fn scattered_runs_pack_into_one_chunk() {
-        let jobs = chunk_region(7, &region_with_pages(&[0, 5, 6, 9]));
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].region_index, 7);
+        let chunks = chunk_pages(&[0, 5, 6, 9], |p| p as u8);
+        assert_eq!(chunks.len(), 1);
         assert_eq!(
-            jobs[0].runs,
+            chunks[0].0,
             vec![
                 PageRun { first: 0, count: 1 },
                 PageRun { first: 5, count: 2 },
                 PageRun { first: 9, count: 1 },
             ]
         );
-        assert_eq!(jobs[0].page_count(), 4);
+        assert_eq!(page_count(&chunks[0].0), 4);
     }
 
     #[test]
     fn unchanged_tail_chunks_keep_their_hash_when_one_page_changes() {
         let indices: Vec<u64> = (0..CHUNK_PAGES * 4).collect();
-        let mut a = region_with_pages(&indices);
-        let before: Vec<ContentHash> = chunk_region(0, &a)
+        let hashes = |touched: Option<u64>| -> Vec<ContentHash> {
+            chunk_pages(
+                &indices,
+                |p| if Some(p) == touched { 0xEE } else { p as u8 },
+            )
             .iter()
-            .map(|j| j.content_hash())
-            .collect();
+            .map(|(_, raw)| ContentHash::of(raw))
+            .collect()
+        };
+        let before = hashes(None);
         // Mutate one page in the second chunk.
-        a.pages[(CHUNK_PAGES + 1) as usize].1 = page(0xEE);
-        let after: Vec<ContentHash> = chunk_region(0, &a)
-            .iter()
-            .map(|j| j.content_hash())
-            .collect();
+        let after = hashes(Some(CHUNK_PAGES + 1));
         assert_eq!(before.len(), after.len());
         assert_ne!(before[1], after[1], "touched chunk must re-hash");
         assert_eq!(before[0], after[0]);

@@ -1,306 +1,225 @@
-//! Store-aware checkpoint/restart paths for the DMTCP coordinator.
+//! The two drivers that stitch the DMTCP coordinator to this crate: one
+//! checkpoint, one restore.
 //!
 //! `crac-dmtcp` cannot depend on this crate (the dependency points the
-//! other way), so the coordinator gains its `checkpoint_to_store` /
-//! `restart_from_store` entry points through an extension trait defined
-//! here and implemented for [`Coordinator`].
+//! other way), so the store-aware halves of a checkpoint and a restart
+//! live here, as free functions over a [`Coordinator`].  *Where* the image
+//! goes or comes from and *how* the walk runs are values passed in, not
+//! reasons for another function:
 //!
-//! `checkpoint_to_store` is the flagship streaming path: the coordinator's
-//! region walk feeds the store's writer pipeline **directly** through a
-//! [`SinkBridge`] — no `CheckpointImage` is ever materialised, so the
-//! checkpoint's peak memory is the pipeline's bounded buffering
+//! | value | choices |
+//! |---|---|
+//! | [`CkptTarget`] | a local [`ImageStore`] · a peer behind a [`Transport`] |
+//! | `precopy: Option<&PrecopyConfig>` | `None` = stop-the-world · `Some` = pre-copy |
+//! | [`ImageSource`](crate::ImageSource) (inside the opened [`StreamReader`]) | store · peer |
+//! | `lazy: bool` | `false` = eager splice · `true` = demand paging |
+//!
+//! [`checkpoint_to`] drives the coordinator's one walk
+//! (`Coordinator::checkpoint_walk`) through a [`SinkBridge`] straight into
+//! the target's [`ChunkSink`] — no `CheckpointImage` is ever materialised,
+//! so the checkpoint's peak memory is the pipeline's bounded buffering
 //! ([`crate::writer::stream_buffer_bound`]) instead of the image size.
 //!
-//! `restart_from_store` is its mirror: the store's reader pipeline feeds
-//! the coordinator's restore cursor **directly** through a
-//! [`RestoreBridge`] — verified chunks land in the fresh address space as
-//! they arrive, bounded by [`crate::reader::restore_buffer_bound`].
+//! [`restore`] is its mirror: an opened reader feeds the coordinator's
+//! restore cursor **directly** through a [`RestoreBridge`] — verified
+//! chunks land in the fresh address space as they arrive, bounded by
+//! [`crate::reader::restore_buffer_bound`] — or, lazily, becomes a
+//! [`LazyRestoreSession`] whose workers serve first-touch faults while the
+//! caller's closure already runs.  Eager and lazy stay two arms on
+//! measured grounds: a lazy restore's full residency costs ~20 % more wall
+//! time than the eager splice, so "eager = lazy + drain" would regress.
 
 use crac_addrspace::SharedSpace;
-use crac_dmtcp::{CkptStats, Coordinator, PrecopyConfig, PrecopyStats, RestartStats, SinkClosed};
+use crac_dmtcp::{
+    CkptStats, Coordinator, PrecopyConfig, PrecopyStats, RestartStats, RestoreError, SinkClosed,
+};
 
 use crate::codec::Compression;
 use crate::error::StoreError;
-use crate::lazy::LazyRestoreSession;
-use crate::reader::ReadStats;
-use crate::remote::{RemoteChunkSink, RemoteChunkSource, ReplicateStats};
+use crate::lazy::{unmappable, LazyRestoreSession, LazyRestoreStats};
+use crate::reader::{ReadStats, StreamReader};
+use crate::remote::{RemoteChunkSink, ReplicateStats};
 use crate::store::{ImageId, ImageStore};
 use crate::stream::{ChunkSink, ChunkSource, RestoreBridge, SinkBridge};
 use crate::transport::Transport;
 use crate::writer::{WriteOptions, WriteStats};
 
-/// Drives the coordinator's streaming checkpoint walk into any
-/// [`ChunkSink`] — the store's [`crate::writer::StreamWriter`] or a
-/// [`RemoteChunkSink`] shipping straight to a peer — translating the
-/// opaque `SinkClosed` stop marker back into the store error the bridge
-/// parked.
+/// Where a checkpoint lands: the one thing a checkpoint knows about
+/// *location*.
+#[derive(Clone, Copy)]
+pub enum CkptTarget<'a> {
+    /// The writer pipeline of a local store.
+    Store(&'a ImageStore, WriteOptions),
+    /// Straight to the peer behind `transport` — no local store involved:
+    /// chunks are negotiated (batched `has_chunks`) and only missing
+    /// content ships.
+    Peer {
+        /// The wire to the peer.
+        transport: &'a dyn Transport,
+        /// Chunk compression policy.
+        compression: Compression,
+        /// *Peer-side* id recorded as the published manifest's lineage
+        /// (chunk-level dedup applies either way).
+        parent: Option<ImageId>,
+    },
+}
+
+/// What a checkpoint cost at its target: what was written locally and what
+/// crossed a transport.  The half the target does not have stays zero — a
+/// store checkpoint ships nothing, a peer checkpoint writes nothing here.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Landed {
+    /// Store-side write statistics.
+    pub write: WriteStats,
+    /// Transport-side shipping statistics.
+    pub replicate: ReplicateStats,
+}
+
+/// Takes a checkpoint of `coordinator`'s process and streams it into
+/// `target` without materialising an in-memory image.
 ///
-/// Deliberately does **not** stamp the manifest's `taken_at` — the caller
-/// owns completion-time semantics (`crac-core` advances its virtual clock
-/// by the modelled write time first); call the sink's `set_taken_at`
-/// after this returns.
-pub fn drive_checkpoint_streaming<S: ChunkSink + ?Sized>(
+/// `precopy` picks the walk's mode (see `Coordinator::checkpoint_walk`):
+/// with `Some(cfg)` bulk content and delta rounds stream while the
+/// application keeps running and only the final residual delta is captured
+/// with the process stopped; both targets honour the re-open /
+/// last-write-wins contract that needs.
+///
+/// `stamp` is called once, after the walk and before the manifest is
+/// assembled, with the walk's stats; it returns the manifest's `taken_at`
+/// — the caller owns completion-time semantics (`crac-core` advances its
+/// virtual clock by the modelled write time first).
+///
+/// The coordinator's registry becomes the target's: every layer of this
+/// flow (and later operations on a target store) records into it.
+///
+/// Returns the image id (peer-assigned for a peer), the walk's stats and
+/// what landed where.
+pub fn checkpoint_to(
     coordinator: &Coordinator,
-    sink: &mut S,
-) -> Result<CkptStats, StoreError> {
-    let mut bridge = SinkBridge::new(sink);
-    match coordinator.checkpoint_streaming(&mut bridge) {
-        Ok(stats) => Ok(stats),
-        Err(_closed) => Err(bridge
-            .into_error()
-            .unwrap_or_else(|| StoreError::busy("checkpoint sink closed without an error"))),
+    target: CkptTarget<'_>,
+    precopy: Option<&PrecopyConfig>,
+    stamp: impl FnOnce(&CkptStats) -> u64,
+) -> Result<(ImageId, PrecopyStats, Landed), StoreError> {
+    // The one call of the coordinator's walk outside `crac-dmtcp`.  The
+    // bridge parks the sink's real error behind the opaque stop marker.
+    let walk = |sink: &mut dyn ChunkSink| {
+        let mut bridge = SinkBridge::new(sink);
+        coordinator
+            .checkpoint_walk(&mut bridge, precopy)
+            .map_err(|SinkClosed| {
+                bridge
+                    .into_error()
+                    .unwrap_or_else(|| StoreError::busy("checkpoint sink closed without an error"))
+            })
+    };
+    let mut landed = Landed::default();
+    match target {
+        CkptTarget::Store(store, opts) => {
+            store.adopt_obs(coordinator.obs());
+            let (id, stats, write) = store.stream_image(&opts, |writer| {
+                let stats = walk(writer)?;
+                writer.set_taken_at(stamp(&stats.ckpt));
+                Ok(stats)
+            })?;
+            landed.write = write;
+            Ok((id, stats, landed))
+        }
+        CkptTarget::Peer {
+            transport,
+            compression,
+            parent,
+        } => {
+            let mut sink =
+                RemoteChunkSink::with_obs(transport, compression, parent, coordinator.obs());
+            let stats = walk(&mut sink)?;
+            sink.set_taken_at(stamp(&stats.ckpt));
+            let (id, replicate) = sink.finish()?;
+            landed.replicate = replicate;
+            Ok((id, stats, landed))
+        }
     }
 }
 
-/// Pre-copy variant of [`drive_checkpoint_streaming`]: bulk content and
-/// iterative delta rounds stream into the sink while the application keeps
-/// running; only the final residual delta is captured with the process
-/// stopped, so the stop window scales with the dirty delta instead of the
-/// image.  The sink must honour the re-open / last-write-wins contract of
-/// [`crac_dmtcp::CheckpointSink`] — both store sinks
-/// ([`crate::writer::StreamWriter`], [`RemoteChunkSink`]) do.
-pub fn drive_checkpoint_precopy<S: ChunkSink + ?Sized>(
-    coordinator: &Coordinator,
-    sink: &mut S,
-    cfg: PrecopyConfig,
-) -> Result<PrecopyStats, StoreError> {
-    let mut bridge = SinkBridge::new(sink);
-    match coordinator.checkpoint_precopy(&mut bridge, &cfg) {
-        Ok(stats) => Ok(stats),
-        Err(_closed) => Err(bridge
-            .into_error()
-            .unwrap_or_else(|| StoreError::busy("checkpoint sink closed without an error"))),
+/// Restores the image behind `reader` into an address space.
+///
+/// The address space (and the coordinator whose plugins' `restart` hooks
+/// fire) usually do not exist yet when a restart begins, so the caller's
+/// `body` builds them and calls the `install` function it is handed —
+/// exactly once — with both; what `body` does after `install` returns is
+/// the restarted process's first dealings with its memory.
+///
+/// * `lazy == false` — `install` drives the reader's fetch/verify/splice
+///   pipeline to completion: every page is resident when it returns.
+/// * `lazy == true` — `install` maps the skeleton, marks the image's pages
+///   absent, installs the fault handler and starts the fault-service /
+///   prefetch workers: **no page bytes have moved** when it returns, the
+///   rest of `body` races the background sweep, and once `body` returns
+///   the remaining prefetch is drained and the fault handler uninstalled.
+///   The workers stop before this function returns, on every path.
+///
+/// On failure the real [`StoreError`] comes back (as `E`) and the
+/// half-restored space must be discarded; an image the address space
+/// refuses to map is [`StoreError::Corrupt`].  Returns `body`'s value, the
+/// read's I/O accounting, and the lazy-specific stats (all zero for an
+/// eager restore).
+pub fn restore<T, E: From<StoreError>>(
+    reader: StreamReader<'_>,
+    lazy: bool,
+    body: impl FnOnce(
+        &mut dyn FnMut(&Coordinator, &SharedSpace) -> Result<RestartStats, StoreError>,
+    ) -> Result<T, E>,
+) -> Result<(T, ReadStats, LazyRestoreStats), E> {
+    if !lazy {
+        let mut reader = reader;
+        let out = body(&mut |coordinator, space| splice(coordinator, &mut reader, space))?;
+        return Ok((out, reader.stats(), LazyRestoreStats::default()));
     }
+    let session = LazyRestoreSession::open(reader)?;
+    let out = std::thread::scope(|scope| {
+        let mut attached: Option<SharedSpace> = None;
+        // Any error below must abort the session before the scope joins,
+        // or the workers would park on the queue forever.
+        let out = body(&mut |coordinator, space| {
+            let stats = session.attach(coordinator, space)?;
+            // Live before `body` goes on to first-touch restored memory.
+            session.spawn_workers(scope);
+            attached = Some(space.clone());
+            Ok(stats)
+        })
+        .inspect_err(|_| session.abort())?;
+        if let Some(space) = attached {
+            session.drain()?;
+            space.clear_fault_handler();
+        }
+        Ok::<T, E>(out)
+    })?;
+    let (read, lazy_stats) = session.finish();
+    Ok((out, read, lazy_stats))
 }
 
-/// Drives a streaming restore from any [`ChunkSource`] — the store's
-/// [`crate::reader::StreamReader`] or a [`RemoteChunkSource`] fetching
-/// over a transport:
-/// the source's fetched-and-verified chunks are spliced into `space`
-/// through the coordinator's restore cursor as they arrive — no
-/// `CheckpointImage` is ever materialised.
-///
-/// On success the coordinator applies recorded protections and fires the
-/// plugins' `restart` hooks (with the payloads the manifest carried
-/// inline); the read's cost is available from the source's `stats()`
-/// afterwards.  On failure the real [`StoreError`] is returned and the
-/// half-restored `space` must be discarded.
-pub fn drive_restore_streaming<R: ChunkSource + ?Sized>(
+/// The eager arm of [`restore`]: the reader's fetched-and-verified chunks
+/// are spliced into `space` through the coordinator's restore cursor as
+/// they arrive; on success the coordinator applies recorded protections
+/// and fires the plugins' `restart` hooks with the payloads the manifest
+/// carried inline.
+fn splice(
     coordinator: &Coordinator,
-    source: &mut R,
+    reader: &mut StreamReader<'_>,
     space: &SharedSpace,
 ) -> Result<RestartStats, StoreError> {
     let mut parked: Option<StoreError> = None;
     let result = coordinator.restart_streaming(space, |cursor| {
         let mut bridge = RestoreBridge::new(cursor);
-        source.stream_out(&mut bridge).map_err(|e| {
+        reader.stream_out(&mut bridge).map_err(|e| {
             parked = Some(e);
             SinkClosed
         })
     });
-    match result {
-        Ok(stats) => Ok(stats),
-        Err(SinkClosed) => {
-            Err(parked
-                .unwrap_or_else(|| StoreError::busy("restore source closed without an error")))
+    result.map_err(|e| match e {
+        // The cursor closed itself: the space refused what the image asked.
+        RestoreError::Mem(e) => unmappable(&reader.label, e),
+        RestoreError::Closed => {
+            parked.unwrap_or_else(|| StoreError::busy("restore source closed without an error"))
         }
-    }
-}
-
-/// Checkpoint/restart straight through an [`ImageStore`].
-pub trait CoordinatorStoreExt {
-    /// Takes a checkpoint at virtual time `now_ns` and streams it into
-    /// `store` without materialising an in-memory image, returning the
-    /// stored image's id plus both the coordinator's checkpoint stats and
-    /// the store's write stats.
-    fn checkpoint_to_store(
-        &self,
-        store: &ImageStore,
-        now_ns: u64,
-        opts: &WriteOptions,
-    ) -> Result<(ImageId, CkptStats, WriteStats), StoreError>;
-
-    /// Pre-copy variant of
-    /// [`CoordinatorStoreExt::checkpoint_to_store`]: streams bulk content
-    /// and delta rounds concurrently with execution, stopping the process
-    /// only for the final residual delta.  Returns the richer
-    /// [`PrecopyStats`] (rounds, per-round bytes, stop window).
-    fn checkpoint_to_store_precopy(
-        &self,
-        store: &ImageStore,
-        now_ns: u64,
-        opts: &WriteOptions,
-        cfg: PrecopyConfig,
-    ) -> Result<(ImageId, PrecopyStats, WriteStats), StoreError>;
-
-    /// Streams image `id` out of `store` (verifying integrity) straight
-    /// into `space` — verified chunks are spliced as they arrive, never
-    /// materialising a `CheckpointImage`.
-    fn restart_from_store(
-        &self,
-        store: &ImageStore,
-        id: ImageId,
-        space: &SharedSpace,
-    ) -> Result<(RestartStats, ReadStats), StoreError>;
-
-    /// Takes a checkpoint at virtual time `now_ns` and streams it straight
-    /// to the peer behind `transport` — no local store involved: chunks
-    /// are negotiated (batched `has_chunks`) and only missing content
-    /// ships.  Returns the peer-assigned image id, the coordinator's
-    /// checkpoint stats and the shipping stats.
-    fn checkpoint_to_remote(
-        &self,
-        transport: &dyn Transport,
-        now_ns: u64,
-        compression: Compression,
-        parent: Option<ImageId>,
-    ) -> Result<(ImageId, CkptStats, ReplicateStats), StoreError>;
-
-    /// Pre-copy variant of
-    /// [`CoordinatorStoreExt::checkpoint_to_remote`]: delta rounds ship to
-    /// the peer while the application keeps running; the final stop
-    /// window covers only the residual dirty delta.
-    fn checkpoint_to_remote_precopy(
-        &self,
-        transport: &dyn Transport,
-        now_ns: u64,
-        compression: Compression,
-        parent: Option<ImageId>,
-        cfg: PrecopyConfig,
-    ) -> Result<(ImageId, PrecopyStats, ReplicateStats), StoreError>;
-
-    /// Streams remote image `id` from the peer behind `transport` straight
-    /// into `space`: parallel verified fetches with bounded transient
-    /// retry, spliced as they arrive — the cross-node restart path.
-    fn restart_from_remote(
-        &self,
-        transport: &dyn Transport,
-        id: ImageId,
-        space: &SharedSpace,
-    ) -> Result<(RestartStats, ReadStats), StoreError>;
-
-    /// Opens a lazy (demand-paging) restore session over local image `id`,
-    /// recording into this coordinator's registry.  Nothing but the
-    /// manifest is read; the caller `attach`es the session (process is
-    /// resumable immediately), spawns its workers, and pages fault in on
-    /// first touch while a background sweep prefetches the rest — see
-    /// [`LazyRestoreSession`].
-    fn open_lazy_restore<'s>(
-        &self,
-        store: &'s ImageStore,
-        id: ImageId,
-    ) -> Result<LazyRestoreSession<'s>, StoreError>;
-
-    /// Remote twin of [`CoordinatorStoreExt::open_lazy_restore`]: the same
-    /// session fed over `transport`, first-touch faults riding the
-    /// priority lane of `get_chunk` — the cross-node lazy restart path.
-    fn open_lazy_restore_remote<'t>(
-        &self,
-        transport: &'t dyn Transport,
-        id: ImageId,
-    ) -> Result<LazyRestoreSession<'t>, StoreError>;
-}
-
-impl CoordinatorStoreExt for Coordinator {
-    fn checkpoint_to_store(
-        &self,
-        store: &ImageStore,
-        now_ns: u64,
-        opts: &WriteOptions,
-    ) -> Result<(ImageId, CkptStats, WriteStats), StoreError> {
-        // The coordinator's registry becomes the store's: every layer of
-        // this flow (and later store operations) records into it.
-        store.adopt_obs(self.obs());
-        let (id, ckpt_stats, write_stats) = store.stream_image(opts, |writer| {
-            let stats = drive_checkpoint_streaming(self, writer)?;
-            writer.set_taken_at(now_ns);
-            Ok(stats)
-        })?;
-        Ok((id, ckpt_stats, write_stats))
-    }
-
-    fn checkpoint_to_store_precopy(
-        &self,
-        store: &ImageStore,
-        now_ns: u64,
-        opts: &WriteOptions,
-        cfg: PrecopyConfig,
-    ) -> Result<(ImageId, PrecopyStats, WriteStats), StoreError> {
-        store.adopt_obs(self.obs());
-        let (id, precopy_stats, write_stats) = store.stream_image(opts, |writer| {
-            let stats = drive_checkpoint_precopy(self, writer, cfg)?;
-            writer.set_taken_at(now_ns);
-            Ok(stats)
-        })?;
-        Ok((id, precopy_stats, write_stats))
-    }
-
-    fn restart_from_store(
-        &self,
-        store: &ImageStore,
-        id: ImageId,
-        space: &SharedSpace,
-    ) -> Result<(RestartStats, ReadStats), StoreError> {
-        store.adopt_obs(self.obs());
-        let mut reader = store.stream_restore(id)?;
-        let restart_stats = drive_restore_streaming(self, &mut reader, space)?;
-        Ok((restart_stats, reader.stats()))
-    }
-
-    fn checkpoint_to_remote(
-        &self,
-        transport: &dyn Transport,
-        now_ns: u64,
-        compression: Compression,
-        parent: Option<ImageId>,
-    ) -> Result<(ImageId, CkptStats, ReplicateStats), StoreError> {
-        let mut sink = RemoteChunkSink::with_obs(transport, compression, parent, self.obs());
-        let ckpt_stats = drive_checkpoint_streaming(self, &mut sink)?;
-        sink.set_taken_at(now_ns);
-        let (id, replicate_stats) = sink.finish()?;
-        Ok((id, ckpt_stats, replicate_stats))
-    }
-
-    fn checkpoint_to_remote_precopy(
-        &self,
-        transport: &dyn Transport,
-        now_ns: u64,
-        compression: Compression,
-        parent: Option<ImageId>,
-        cfg: PrecopyConfig,
-    ) -> Result<(ImageId, PrecopyStats, ReplicateStats), StoreError> {
-        let mut sink = RemoteChunkSink::with_obs(transport, compression, parent, self.obs());
-        let precopy_stats = drive_checkpoint_precopy(self, &mut sink, cfg)?;
-        sink.set_taken_at(now_ns);
-        let (id, replicate_stats) = sink.finish()?;
-        Ok((id, precopy_stats, replicate_stats))
-    }
-
-    fn restart_from_remote(
-        &self,
-        transport: &dyn Transport,
-        id: ImageId,
-        space: &SharedSpace,
-    ) -> Result<(RestartStats, ReadStats), StoreError> {
-        let mut source = RemoteChunkSource::open_with_obs(transport, id, self.obs())?;
-        let restart_stats = drive_restore_streaming(self, &mut source, space)?;
-        Ok((restart_stats, source.stats()))
-    }
-
-    fn open_lazy_restore<'s>(
-        &self,
-        store: &'s ImageStore,
-        id: ImageId,
-    ) -> Result<LazyRestoreSession<'s>, StoreError> {
-        store.adopt_obs(self.obs());
-        LazyRestoreSession::open_local(store, id, self.obs())
-    }
-
-    fn open_lazy_restore_remote<'t>(
-        &self,
-        transport: &'t dyn Transport,
-        id: ImageId,
-    ) -> Result<LazyRestoreSession<'t>, StoreError> {
-        LazyRestoreSession::open_remote(transport, id, self.obs())
-    }
+    })
 }

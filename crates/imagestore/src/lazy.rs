@@ -30,9 +30,10 @@
 //! ([`crac_addrspace::AddressSpace::install_resident`]), so one fault
 //! typically makes a whole chunk's worth of neighbours resident.
 //!
-//! The session is source-agnostic exactly like the eager pipeline: the
-//! same [`ChunkFetch`] seam serves the local store and a remote
-//! [`Transport`], and the fault path uses its `fetch_priority` flavour so
+//! A session is built from an opened [`StreamReader`]
+//! ([`LazyRestoreSession::open`]), so it is source-agnostic exactly like
+//! the eager pipeline: the same `fetch_chunk` serves the local store and
+//! a remote transport, and the fault path asks for the *priority* lane so
 //! a pooled TCP transport can route it past the prefetcher's saturated
 //! connections.
 //!
@@ -45,25 +46,32 @@
 
 use crac_sync::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crac_addrspace::{page_runs, Addr, MemError, PageFaultHandler, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{Coordinator, LazyDeclaration, RegionDescriptor, RestartStats};
-use crac_obs::{Buckets, EventKind, Histogram, ObsRegistry};
+use crac_obs::{Buckets, EventKind, Histogram};
 
 use crate::error::StoreError;
-use crate::format::Manifest;
 use crate::pipeline::Gauge;
 use crate::reader::{
-    build_fetch_plan, effective_read_threads, ChunkFetch, FetchPlan, LocalFetch, ReadStats,
-    ReaderObs,
+    build_fetch_plan, effective_read_threads, fetch_chunk, FetchPlan, ImageSource, ReadStats,
+    ReaderObs, StreamReader,
 };
-use crate::remote::{RemoteChunkSource, RemoteFetch};
-use crate::store::{ImageId, ImageStore};
-use crate::transport::{with_transient_retry_observed, Transport};
+use crate::transport::with_transient_retry_observed;
+
+/// The error for an image whose skeleton the address space refused: the
+/// manifest validated, yet its regions do not fit — a corrupt image as far
+/// as this process is concerned.
+pub(crate) fn unmappable(label: &Path, e: MemError) -> StoreError {
+    StoreError::corrupt(
+        label,
+        format!("image does not map into the address space: {e}"),
+    )
+}
 
 /// Background-prefetch progress events are emitted every this many
 /// swept chunks (plus one final event), so a large image cannot flood
@@ -197,7 +205,7 @@ impl LazyShared {
     /// One fetch worker: drain the priority queue, else advance the
     /// background sweep, else wait; exit when the plan is done or the
     /// session shut down.
-    fn worker(&self, fetcher: &dyn ChunkFetch) {
+    fn worker(&self, source: ImageSource<'_>, label: &Path) {
         let retry_obs = self.obs.retry("fetch_chunk");
         loop {
             let (idx, prio) = {
@@ -233,13 +241,7 @@ impl LazyShared {
                 &self.retries,
                 || self.q().shutdown,
                 Some(&retry_obs),
-                || {
-                    if prio {
-                        fetcher.fetch_priority(entry.hash, entry.raw_len, &self.gauge, &self.obs)
-                    } else {
-                        fetcher.fetch(entry.hash, entry.raw_len, &self.gauge, &self.obs)
-                    }
-                },
+                || fetch_chunk(source, label, entry, prio, &self.gauge, &self.obs),
             );
             let (raw, wire_bytes) = match fetched {
                 Ok(ok) => ok,
@@ -361,10 +363,9 @@ impl PageFaultHandler for LazyFaultHandler {
 ///
 /// Lifecycle:
 ///
-/// 1. [`open_local`](LazyRestoreSession::open_local) /
-///    [`open_remote`](LazyRestoreSession::open_remote) — manifest only,
-///    no chunk is touched; build the fetch plan and the absent-page
-///    declaration.
+/// 1. [`open`](LazyRestoreSession::open) — from an opened reader
+///    (manifest only, no chunk is touched); validate the manifest, build
+///    the fetch plan and the absent-page declaration.
 /// 2. [`attach`](LazyRestoreSession::attach) — the coordinator maps the
 ///    skeleton, declares pages absent, installs the fault handler: the
 ///    process is resumable *now*.
@@ -377,10 +378,10 @@ impl PageFaultHandler for LazyFaultHandler {
 ///    [`finish`](LazyRestoreSession::finish) yields the stats.
 pub struct LazyRestoreSession<'a> {
     shared: Arc<LazyShared>,
-    fetcher: Box<dyn ChunkFetch + 'a>,
+    source: ImageSource<'a>,
+    label: PathBuf,
     threads: usize,
     declaration: LazyDeclaration,
-    taken_at_ns: u64,
     started: Instant,
     resume_latency: Histogram,
     resume_us: AtomicU64,
@@ -388,51 +389,18 @@ pub struct LazyRestoreSession<'a> {
 }
 
 impl<'a> LazyRestoreSession<'a> {
-    /// Opens a lazy session over a locally stored image.  Loads and
-    /// CRC-verifies the manifest only; region descriptors, payloads and
-    /// the timestamp are available immediately, no chunk is read.
-    pub fn open_local(
-        store: &'a ImageStore,
-        id: ImageId,
-        obs: ObsRegistry,
-    ) -> Result<Self, StoreError> {
-        let manifest = store.load_manifest(id)?;
-        let robs = ReaderObs::new(obs);
-        robs.run
-            .counter("crac_reader_manifest_bytes")
-            .add(store.manifest_size(id)?);
-        let label = store.image_path(id);
-        Self::build(manifest, label, robs, Box::new(LocalFetch { store }))
-    }
-
-    /// Opens a lazy session over a remote image behind `transport` —
-    /// the same session, fed by `get_chunk`/`get_chunk_priority` instead
-    /// of the chunk directory.  Fetches and verifies the manifest only.
-    pub fn open_remote(
-        transport: &'a dyn Transport,
-        id: ImageId,
-        obs: ObsRegistry,
-    ) -> Result<Self, StoreError> {
-        let RemoteChunkSource {
-            transport,
+    /// Turns an opened reader into a lazy session: region descriptors,
+    /// payloads and the timestamp are available immediately, no chunk is
+    /// read.  Fails with [`StoreError::Corrupt`] if the manifest does not
+    /// validate.
+    pub fn open(reader: StreamReader<'a>) -> Result<Self, StoreError> {
+        let StreamReader {
+            source,
             manifest,
             label,
             obs,
             ..
-        } = RemoteChunkSource::open_with_obs(transport, id, obs)?;
-        let fetcher = Box::new(RemoteFetch {
-            transport,
-            label: label.clone(),
-        });
-        Self::build(manifest, label, obs, fetcher)
-    }
-
-    fn build(
-        manifest: Manifest,
-        label: PathBuf,
-        obs: ReaderObs,
-        fetcher: Box<dyn ChunkFetch + 'a>,
-    ) -> Result<Self, StoreError> {
+        } = reader;
         let (plan, refs_total) = build_fetch_plan(&manifest, &label)?;
         obs.run
             .counter("crac_reader_chunks_cached")
@@ -521,10 +489,10 @@ impl<'a> LazyRestoreSession<'a> {
                 chunks_prefetched: AtomicU64::new(0),
                 pages_installed: AtomicU64::new(0),
             }),
-            fetcher,
+            source,
+            label,
             threads,
             declaration,
-            taken_at_ns: manifest.taken_at_ns,
             // crac-lint: allow(raw-instant) — wall-clock anchor for session stats, not a stage timing
             started: Instant::now(),
             resume_latency,
@@ -533,32 +501,20 @@ impl<'a> LazyRestoreSession<'a> {
         })
     }
 
-    /// Virtual time the stored checkpoint was taken.
-    pub fn taken_at_ns(&self) -> u64 {
-        self.taken_at_ns
-    }
-
-    /// A named plugin payload (manifest-inline, available before resume).
-    pub fn payload(&self, name: &str) -> Option<&[u8]> {
-        self.declaration
-            .payloads
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| d.as_slice())
-    }
-
-    /// Distinct chunks the fetch plan holds.
-    pub fn chunks_total(&self) -> usize {
-        self.shared.plan.len()
-    }
-
     /// Maps the checkpoint's skeleton into `space`, declares the planned
     /// pages absent, installs the fault handler and fires the plugins'
     /// restart hooks (through [`Coordinator::restart_lazy`]) — metadata
     /// only, **no page bytes move**.  The process is resumable the moment
     /// this returns; call [`spawn_workers`](Self::spawn_workers) next so
     /// faults (and the prefetch sweep) get serviced.
-    pub fn attach(&self, coordinator: &Coordinator, space: &SharedSpace) -> RestartStats {
+    ///
+    /// Fails with [`StoreError::Corrupt`] — no handler installed, no hook
+    /// fired — if the address space refuses the image's skeleton.
+    pub fn attach(
+        &self,
+        coordinator: &Coordinator,
+        space: &SharedSpace,
+    ) -> Result<RestartStats, StoreError> {
         // crac-lint: allow(raw-instant) — resume latency lands in RestartStats, not an obs histogram
         let t0 = Instant::now();
         self.shared
@@ -569,7 +525,9 @@ impl<'a> LazyRestoreSession<'a> {
         let handler: Arc<dyn PageFaultHandler> = Arc::new(LazyFaultHandler {
             shared: Arc::clone(&self.shared),
         });
-        let stats = coordinator.restart_lazy(space, &self.declaration, handler);
+        let stats = coordinator
+            .restart_lazy(space, &self.declaration, handler)
+            .map_err(|e| unmappable(&self.label, e))?;
         let us = t0.elapsed().as_micros() as u64;
         self.resume_us.store(us, Ordering::Relaxed);
         self.resume_latency.observe(us);
@@ -583,7 +541,7 @@ impl<'a> LazyRestoreSession<'a> {
                 self.shared.plan.len()
             ),
         );
-        stats
+        Ok(stats)
     }
 
     /// Spawns the fetch workers onto a caller-owned thread scope.  Must
@@ -596,8 +554,7 @@ impl<'a> LazyRestoreSession<'a> {
     ) {
         for _ in 0..self.threads {
             let shared: &LazyShared = &self.shared;
-            let fetcher: &dyn ChunkFetch = &*self.fetcher;
-            scope.spawn(move || shared.worker(fetcher));
+            scope.spawn(move || shared.worker(self.source, &self.label));
         }
     }
 

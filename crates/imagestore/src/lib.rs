@@ -23,7 +23,8 @@
 //!   records the checkpoint lineage.  Manifests always describe the full
 //!   image, so restore never chains through parents.
 //! * **Streaming reader pipeline** ([`reader`], [`stream`]) — the writer's
-//!   mirror: [`StreamReader`] fetches and verifies the manifest's distinct
+//!   mirror: the one [`StreamReader`], opened over an [`ImageSource`] (a
+//!   local store or a peer), fetches and verifies the manifest's distinct
 //!   chunks (CRC + content hash) on parallel worker threads and splices
 //!   each chunk's page runs into a [`RegionSink`] **as it arrives** — no
 //!   barrier, no materialised image, peak buffered payload a fixed
@@ -38,15 +39,15 @@
 //!   `ImageStore::replicate_to`/`replicate_from` ship only missing chunks
 //!   (restic/borg-style negotiation, resumable after interruption),
 //!   [`RemoteChunkSink`] streams a live checkpoint straight to a peer,
-//!   and [`RemoteChunkSource`] restores from one through the same bounded
-//!   parallel fetch pipeline as a local read — with bounded,
-//!   backoff-spaced retry on transient transport faults.
+//!   and a [`StreamReader`] over [`ImageSource::Peer`] restores from one
+//!   through the same bounded parallel fetch pipeline as a local read —
+//!   with bounded, backoff-spaced retry on transient transport faults.
 //! * **Lazy first-touch restore** ([`lazy`]): the reader pipeline turned
 //!   inside out — [`LazyRestoreSession`] maps the image's skeleton,
 //!   declares its pages absent and resumes the process in O(metadata);
 //!   a two-priority fetch crew then services first-touch faults ahead of
-//!   a background prefetch sweep, over the same [`ChunkFetch`] seam
-//!   (local store or remote transport), with chunk-level dedup so a
+//!   a background prefetch sweep, over the same reader (local store or
+//!   remote transport), with chunk-level dedup so a
 //!   chunk is fetched exactly once no matter how faults and the sweep
 //!   race.
 //! * **TCP network transport** ([`net`]): the trait over a real wire —
@@ -64,19 +65,21 @@
 //!   reachability-based chunk reclamation that survives partial failures,
 //!   and a `retain_last(n)` retention helper.
 //!
-//! The [`CoordinatorStoreExt`] trait stitches the store into the DMTCP
-//! coordinator: `checkpoint_to_store` drives the coordinator's streaming
-//! walk straight into the pipeline (via [`SinkBridge`]) and
-//! `restart_from_store` drives the reader pipeline straight into the
-//! coordinator's restore cursor (via [`RestoreBridge`]) — neither ever
-//! materialises a `CheckpointImage`; `crac-core` builds its
-//! `CracProcess` disk paths on top of both.
+//! Two drivers ([`coordext`]) stitch the store into the DMTCP
+//! coordinator, with location and mode as *values*: [`checkpoint_to`]
+//! drives the coordinator's one walk (stop-the-world or pre-copy)
+//! straight into a [`CkptTarget`] — a store's writer pipeline or a peer —
+//! via [`SinkBridge`], and [`restore`] drives an opened [`StreamReader`]
+//! straight into the coordinator's restore cursor (via [`RestoreBridge`])
+//! or, lazily, a [`LazyRestoreSession`] — none of them ever materialises
+//! a `CheckpointImage`; `crac-core` builds its `CracProcess` paths on top
+//! of the two.
 //!
 //! **Observability** (`crac-obs`, re-exported here): every layer above
 //! records into an [`ObsRegistry`] — counters, peak-tracking gauges,
 //! fixed-bucket latency/size histograms and a bounded structured event
-//! ring.  The coordinator owns the root registry and the
-//! [`CoordinatorStoreExt`] entry points hand it down, so a single
+//! ring.  The coordinator owns the root registry and the two drivers
+//! hand it down, so a single
 //! [`ObsRegistry::render_text`] scrape (or the TCP server's `Stats` wire
 //! op) exposes the whole checkpoint → replicate → restore flow in
 //! Prometheus text format.  The `*Stats` structs are views computed from
@@ -106,16 +109,13 @@ pub use crac_obs::{
 };
 
 pub use codec::Compression;
-pub use coordext::{
-    drive_checkpoint_precopy, drive_checkpoint_streaming, drive_restore_streaming,
-    CoordinatorStoreExt,
-};
+pub use coordext::{checkpoint_to, restore, CkptTarget, Landed};
 pub use error::StoreError;
 pub use hash::ContentHash;
 pub use lazy::{LazyRestoreSession, LazyRestoreStats};
 pub use net::{NetServerStats, ServerHandle, TcpTransport, TcpTransportStats};
-pub use reader::{restore_buffer_bound, ReadStats, StreamReader};
-pub use remote::{RemoteChunkSink, RemoteChunkSource, ReplicateStats};
+pub use reader::{restore_buffer_bound, ImageSource, ReadStats, StreamReader};
+pub use remote::{RemoteChunkSink, ReplicateStats};
 pub use store::{DeleteStats, ImageId, ImageInfo, ImageStore, StoreStats};
 pub use stream::{
     ChunkSink, ChunkSource, MaterialiseSink, RegionSink, RegionSource, RestoreBridge, SinkBridge,

@@ -24,8 +24,8 @@
 //!   serialising on one; broken connections map to transient errors and
 //!   the bounded backoff retry redials.
 //!
-//! Everything above the trait — [`crate::remote::RemoteChunkSink`],
-//! [`crate::remote::RemoteChunkSource`],
+//! Everything above the trait — [`crate::remote::RemoteChunkSink`], a
+//! [`crate::reader::StreamReader`] over [`crate::ImageSource::Peer`],
 //! [`crate::ImageStore::replicate_to`], `CracProcess`'s
 //! `checkpoint_to_remote`/`restart_from_remote` — runs over this
 //! transport unchanged; the TCP integration suite is the proof of that

@@ -23,13 +23,16 @@
 //! references many times (deduped repeats) is fetched once and applied to
 //! every reference while it is in hand, then dropped.
 //!
-//! The pipeline itself is source-agnostic: the plan building
-//! ([`build_fetch_plan`]) and the worker/splice machinery
-//! ([`run_fetch_pipeline`]) are parameterised over a [`ChunkFetch`], so the
-//! local store reader and the remote-transport reader
-//! ([`crate::remote::RemoteChunkSource`]) are the *same* pipeline with a
-//! different fetch callable — one verification path, one bounded-memory
-//! proof, two byte sources.
+//! There is **one** reader.  Where the bytes come from is a value —
+//! [`ImageSource`]: the chunk directory of a local [`ImageStore`] or the
+//! replies of a peer behind a [`Transport`] — consulted in exactly two
+//! places: fetching the manifest when the reader opens and fetching one
+//! chunk file's bytes (normal or priority lane).  Everything above that —
+//! manifest validation, the fetch plan, the verification ladder, the
+//! worker/splice pipeline, the lazy session built from an opened reader
+//! ([`crate::lazy::LazyRestoreSession::open`]) — is one code path with one
+//! bounded-memory proof, and a peer's bytes get exactly the scrutiny a
+//! local file's do (plus bounded retry on transient transport faults).
 //!
 //! Because the queue is bounded and each worker holds at most one chunk,
 //! the peak payload the restore ever buffers is a small multiple of the
@@ -49,12 +52,13 @@
 //! half-fed — its owner must discard whatever it was building.
 
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crac_addrspace::space::{SPACE_END, UPPER_BASE};
 use crac_addrspace::{Addr, PageRun, PAGE_SIZE};
 use crac_dmtcp::{CheckpointImage, RegionDescriptor};
 use crac_obs::{Buckets, Counter, EventKind, Histogram, ObsRegistry, Span};
@@ -67,7 +71,7 @@ use crate::hash::ContentHash;
 use crate::pipeline::{latch, ErrorSlot, Gauge};
 use crate::store::{ImageId, ImageStore};
 use crate::stream::{ChunkSource, MaterialiseSink, RegionSink};
-use crate::transport::{with_transient_retry_observed, RetryObs};
+use crate::transport::{with_transient_retry_observed, RetryObs, Transport};
 
 /// Verified chunks the queue holds while the splice consumer is busy
 /// (backpressure depth between the fetch workers and the splice).
@@ -122,17 +126,16 @@ pub struct ReadStats {
     pub elapsed: Duration,
 }
 
-/// Per-restore observability bundle shared by both restore paths (local
-/// [`StreamReader`] and [`crate::remote::RemoteChunkSource`]): a fresh
-/// per-run registry whose counters/histograms *are* the authoritative
+/// Per-restore observability bundle shared by the eager pipeline and the
+/// lazy session: a fresh per-run registry whose counters/histograms *are* the authoritative
 /// accounting — [`ReadStats`] is built as a view over its final snapshot,
 /// so there is no double bookkeeping — plus the long-lived registry that
 /// receives events and retry metrics immediately (mid-run visibility).
 pub(crate) struct ReaderObs {
     /// Per-run metric namespace; folded into `events` when the run ends.
     pub(crate) run: ObsRegistry,
-    /// The long-lived registry (the store's, or one attached via
-    /// `open_with_obs`): structured events and retry accounting land here
+    /// The long-lived registry handed to [`StreamReader::open`]:
+    /// structured events and retry accounting land here
     /// directly, visible while the restore is still in flight.
     pub(crate) events: ObsRegistry,
     pub(crate) stage_fetch: Histogram,
@@ -192,37 +195,106 @@ impl ReaderObs {
     }
 }
 
-/// A streaming image reader: the store's canonical [`ChunkSource`].
+/// Where a stored image's bytes come from: the one thing a restore knows
+/// about *location*.
+#[derive(Clone, Copy)]
+pub enum ImageSource<'a> {
+    /// The chunk directory of a local store.
+    Store(&'a ImageStore),
+    /// A peer behind a transport; first-touch faults of a lazy restore
+    /// ride its priority lane ([`Transport::get_chunk_priority`]).
+    Peer(&'a dyn Transport),
+}
+
+impl ImageSource<'_> {
+    /// Verbatim manifest bytes of image `id`.
+    fn manifest_bytes(&self, id: ImageId) -> Result<Vec<u8>, StoreError> {
+        match self {
+            ImageSource::Store(store) => store.read_manifest_bytes(id),
+            ImageSource::Peer(transport) => transport.get_manifest(id),
+        }
+    }
+
+    /// Verbatim chunk-file bytes of chunk `hash`.  `priority` marks a
+    /// fetch the restarted process is blocked on; a local read has nothing
+    /// to jump.
+    fn chunk_file_bytes(&self, hash: ContentHash, priority: bool) -> Result<Vec<u8>, StoreError> {
+        match self {
+            ImageSource::Store(store) => store.read_chunk_file_bytes(hash),
+            ImageSource::Peer(transport) if priority => transport.get_chunk_priority(hash),
+            ImageSource::Peer(transport) => transport.get_chunk(hash),
+        }
+    }
+
+    /// What corruption errors name as the origin of image `id`: the
+    /// manifest's path, or a synthetic `remote:` one.
+    fn label(&self, id: ImageId) -> PathBuf {
+        match self {
+            ImageSource::Store(store) => store.image_path(id),
+            ImageSource::Peer(_) => PathBuf::from(format!("remote:{id}")),
+        }
+    }
+}
+
+/// The streaming image reader: the canonical [`ChunkSource`], over a local
+/// store or a peer alike.
 ///
-/// Obtain one through [`ImageStore::stream_restore`]; the constructor
-/// loads and CRC-verifies the manifest (metadata only — no chunk is
-/// touched), so region descriptors, payloads and the checkpoint timestamp
-/// are available before any content streams.  Drive the content with
-/// [`ChunkSource::stream_out`], then collect [`StreamReader::stats`].
-pub struct StreamReader<'s> {
-    store: &'s ImageStore,
-    id: ImageId,
-    manifest: Manifest,
-    obs: ReaderObs,
+/// Obtain one through [`ImageStore::stream_restore`] or
+/// [`StreamReader::open`]; opening fetches and CRC-verifies the manifest
+/// (metadata only — no chunk is touched), so region descriptors, payloads
+/// and the checkpoint timestamp are available before any content streams.
+/// Drive the content with [`ChunkSource::stream_out`] and collect
+/// [`StreamReader::stats`], or hand the reader to
+/// [`crate::lazy::LazyRestoreSession::open`] for a demand-paged restore.
+pub struct StreamReader<'a> {
+    pub(crate) source: ImageSource<'a>,
+    pub(crate) manifest: Manifest,
+    /// Names the image's origin in events and corruption errors.
+    pub(crate) label: PathBuf,
+    pub(crate) obs: ReaderObs,
     stats: ReadStats,
 }
 
-impl<'s> StreamReader<'s> {
-    pub(crate) fn new(store: &'s ImageStore, id: ImageId) -> Result<Self, StoreError> {
-        let manifest = store.load_manifest(id)?;
-        let obs = ReaderObs::new(store.obs());
-        let manifest_bytes = store.manifest_size(id)?;
+impl<'a> StreamReader<'a> {
+    /// Opens image `id` of `source`, recording into `obs`: the restore's
+    /// metrics are folded into it when the stream completes, and
+    /// restore/retry events land on it live.  A local store adopts `obs`
+    /// as its own registry, so every later operation on it is observed
+    /// through the same handle.
+    pub fn open(
+        source: ImageSource<'a>,
+        id: ImageId,
+        obs: ObsRegistry,
+    ) -> Result<Self, StoreError> {
+        if let ImageSource::Store(store) = source {
+            store.adopt_obs(obs.clone());
+        }
+        let obs = ReaderObs::new(obs);
+        let retries = AtomicUsize::new(0);
+        let retry = obs.retry("get_manifest");
+        let bytes = with_transient_retry_observed(
+            &retries,
+            || false,
+            Some(&retry),
+            || source.manifest_bytes(id),
+        )?;
+        let label = source.label(id);
+        let manifest = Manifest::from_bytes(&bytes).map_err(|e| StoreError::manifest(&label, e))?;
         obs.run
             .counter("crac_reader_manifest_bytes")
-            .add(manifest_bytes);
+            .add(bytes.len() as u64);
+        obs.run
+            .counter("crac_reader_transient_retries")
+            .add(retries.load(Ordering::Relaxed) as u64);
         let stats = ReadStats {
-            manifest_bytes,
+            manifest_bytes: bytes.len() as u64,
+            transient_retries: retries.load(Ordering::Relaxed),
             ..Default::default()
         };
         Ok(Self {
-            store,
-            id,
+            source,
             manifest,
+            label,
             obs,
             stats,
         })
@@ -265,64 +337,10 @@ pub(crate) struct FetchPlan {
     pub(crate) targets: Vec<(usize, Vec<(PageRun, usize)>)>,
 }
 
-/// How the fetch pipeline obtains one chunk's raw (decoded, verified)
-/// bytes.  The local store reads a file; the remote reader asks a
-/// [`crate::transport::Transport`].  Implementations must fully verify
-/// the chunk (CRC + decode + content hash) before returning.
-pub(crate) trait ChunkFetch: Sync {
-    /// Fetches chunk `hash`, returning its raw bytes plus the encoded
-    /// (file/wire) byte count moved.  Must `gauge.add` the raw bytes
-    /// before returning them (the pipeline `sub`s when they are dropped),
-    /// and should record its acquisition under `obs.stage_fetch` and the
-    /// verification ladder under `obs.stage_verify`.
-    fn fetch(
-        &self,
-        hash: ContentHash,
-        raw_len: u64,
-        gauge: &Gauge,
-        obs: &ReaderObs,
-    ) -> Result<(Vec<u8>, u64), StoreError>;
-
-    /// Priority flavour used by the lazy restore's fault path: a page the
-    /// restarted process is blocked on must not queue behind the
-    /// background prefetch sweep.  Local fetches have nothing to jump
-    /// (the default delegates); the remote fetcher routes these through
-    /// [`crate::transport::Transport::get_chunk_priority`].
-    fn fetch_priority(
-        &self,
-        hash: ContentHash,
-        raw_len: u64,
-        gauge: &Gauge,
-        obs: &ReaderObs,
-    ) -> Result<(Vec<u8>, u64), StoreError> {
-        self.fetch(hash, raw_len, gauge, obs)
-    }
-}
-
-/// [`ChunkFetch`] over the local chunk directory.
-pub(crate) struct LocalFetch<'s> {
-    pub(crate) store: &'s ImageStore,
-}
-
-impl ChunkFetch for LocalFetch<'_> {
-    fn fetch(
-        &self,
-        hash: ContentHash,
-        raw_len: u64,
-        gauge: &Gauge,
-        obs: &ReaderObs,
-    ) -> Result<(Vec<u8>, u64), StoreError> {
-        fetch_chunk(self.store, hash, raw_len, gauge, obs)
-    }
-}
-
 /// Declares every region and payload of `manifest` into `sink` — the
-/// metadata prologue both the local and remote streams send before any
-/// content, so the sink knows the full image shape up front.
-pub(crate) fn declare_manifest(
-    manifest: &Manifest,
-    sink: &mut dyn RegionSink,
-) -> Result<(), StoreError> {
+/// metadata prologue sent before any content, so the sink knows the full
+/// image shape up front.
+fn declare_manifest(manifest: &Manifest, sink: &mut dyn RegionSink) -> Result<(), StoreError> {
     for region in &manifest.regions {
         sink.declare_region(&RegionDescriptor {
             start: Addr(region.start),
@@ -337,11 +355,56 @@ pub(crate) fn declare_manifest(
     Ok(())
 }
 
-/// Validates every chunk reference of `manifest` and builds the fetch
-/// plan: one entry per *distinct* chunk, carrying every place its pages
-/// land (repeats cost a plan target, never a second fetch).  `label`
-/// names the manifest's origin in corruption errors — a file path for a
-/// local image, a synthetic `remote:` path for a transported one.
+/// Validates the region table of `manifest`: every region non-empty,
+/// page-aligned, inside the upper half, and disjoint from every other.
+///
+/// A CRC proves a manifest is what its *sender* wrote, not that it is
+/// sane — a peer serving `get_manifest` computes its own CRC.  Each of
+/// these defects would otherwise reach `mmap(MAP_FIXED)` on the restore
+/// path: the first three are refused there, but two overlapping regions
+/// silently unmap one another and the survivor receives both regions'
+/// pages.
+fn validate_regions(manifest: &Manifest, label: &Path) -> Result<(), StoreError> {
+    let mut spans: Vec<(u64, u64)> = Vec::with_capacity(manifest.regions.len());
+    for region in &manifest.regions {
+        let bad = |what: &str| {
+            StoreError::corrupt(
+                label,
+                format!(
+                    "region '{}' at {:#x}+{:#x} {what}",
+                    region.label, region.start, region.len
+                ),
+            )
+        };
+        if region.len == 0 {
+            return Err(bad("is empty"));
+        }
+        if !region.start.is_multiple_of(PAGE_SIZE) || !region.len.is_multiple_of(PAGE_SIZE) {
+            return Err(bad("is not page-aligned"));
+        }
+        match region.start.checked_add(region.len) {
+            Some(end) if region.start >= UPPER_BASE && end <= SPACE_END => {
+                spans.push((region.start, end));
+            }
+            _ => return Err(bad("lies outside the upper half")),
+        }
+    }
+    spans.sort_unstable();
+    if let Some(pair) = spans.windows(2).find(|pair| pair[1].0 < pair[0].1) {
+        return Err(StoreError::corrupt(
+            label,
+            format!("regions at {:#x} and {:#x} overlap", pair[0].0, pair[1].0),
+        ));
+    }
+    Ok(())
+}
+
+/// Validates `manifest` — its region table, then every chunk reference —
+/// and builds the fetch plan: one entry per *distinct* chunk, carrying
+/// every place its pages land (repeats cost a plan target, never a second
+/// fetch).  `label` names the manifest's origin in corruption errors — a
+/// file path for a local image, a synthetic `remote:` path for a
+/// transported one.
 ///
 /// Returns the plan plus the total reference count (for the
 /// [`ReadStats::chunks_cached`] accounting).
@@ -349,6 +412,7 @@ pub(crate) fn build_fetch_plan(
     manifest: &Manifest,
     label: &Path,
 ) -> Result<(Vec<FetchPlan>, usize), StoreError> {
+    validate_regions(manifest, label)?;
     let mut by_hash: HashMap<ContentHash, usize> = HashMap::new();
     let mut plan: Vec<FetchPlan> = Vec::new();
     let mut refs_total = 0usize;
@@ -454,16 +518,17 @@ pub(crate) fn build_fetch_plan(
     Ok((plan, refs_total))
 }
 
-/// The fetch/verify/splice pipeline both restore paths share: workers
-/// pull tickets off `plan`, fetch + verify through `fetcher` (with
-/// bounded retry on transient failures), and push decoded chunks through
-/// the bounded queue; the calling thread splices each chunk into `sink`
-/// the moment it arrives.  Accounts everything into `obs`'s run registry
-/// — the caller builds its [`ReadStats`] view from the final snapshot.
-pub(crate) fn run_fetch_pipeline(
+/// The eager fetch/verify/splice pipeline: workers pull tickets off
+/// `plan`, fetch + verify through [`fetch_chunk`] (with bounded retry on
+/// transient failures), and push decoded chunks through the bounded queue;
+/// the calling thread splices each chunk into `sink` the moment it
+/// arrives.  Accounts everything into `obs`'s run registry — the caller
+/// builds its [`ReadStats`] view from the final snapshot.
+fn run_fetch_pipeline(
     plan: &[FetchPlan],
     sink: &mut dyn RegionSink,
-    fetcher: &dyn ChunkFetch,
+    source: ImageSource<'_>,
+    label: &Path,
     obs: &ReaderObs,
 ) -> Result<(), StoreError> {
     let threads = effective_read_threads(plan.len());
@@ -498,7 +563,7 @@ pub(crate) fn run_fetch_pipeline(
                     retries,
                     || error.lock().is_some(),
                     Some(retry_obs),
-                    || fetcher.fetch(entry.hash, entry.raw_len, gauge, obs),
+                    || fetch_chunk(source, label, entry, false, gauge, obs),
                 );
                 match fetched {
                     Ok((raw, wire_bytes)) => {
@@ -555,28 +620,29 @@ impl ChunkSource for StreamReader<'_> {
         let start = Instant::now();
         self.obs.events.event(
             EventKind::RestoreBegun,
-            format!("image={} regions={}", self.id, self.manifest.regions.len()),
+            format!(
+                "source={} regions={}",
+                self.label.display(),
+                self.manifest.regions.len()
+            ),
         );
-
-        // Metadata first: declarations and payloads are manifest-inline,
+        // Validate before the sink sees a single declaration, then
+        // metadata first: declarations and payloads are manifest-inline,
         // so the sink has the full image shape before content arrives.
-        declare_manifest(&self.manifest, sink)?;
-
-        let label = self.store.image_path(self.id);
-        let (plan, refs_total) = build_fetch_plan(&self.manifest, &label)?;
-        self.obs
-            .run
-            .counter("crac_reader_chunks_cached")
-            .add((refs_total - plan.len()) as u64);
-
-        let fetcher = LocalFetch { store: self.store };
-        let result = run_fetch_pipeline(&plan, sink, &fetcher, &self.obs);
+        let result = build_fetch_plan(&self.manifest, &self.label).and_then(|(plan, refs)| {
+            self.obs
+                .run
+                .counter("crac_reader_chunks_cached")
+                .add((refs - plan.len()) as u64);
+            declare_manifest(&self.manifest, sink)?;
+            run_fetch_pipeline(&plan, sink, self.source, &self.label, &self.obs)
+        });
         self.stats = self.obs.finish_stats(start.elapsed());
         self.obs.events.event(
             EventKind::RestoreFinished,
             format!(
-                "image={} ok={} chunks_read={} bytes_read={}",
-                self.id,
+                "source={} ok={} chunks_read={} bytes_read={}",
+                self.label.display(),
                 result.is_ok(),
                 self.stats.chunks_read,
                 self.stats.chunk_bytes_read
@@ -613,7 +679,7 @@ pub(crate) fn read_image(
     store: &ImageStore,
     id: ImageId,
 ) -> Result<(CheckpointImage, ReadStats), StoreError> {
-    let mut reader = StreamReader::new(store, id)?;
+    let mut reader = store.stream_restore(id)?;
     let mut sink = MaterialiseSink::default();
     reader.stream_out(&mut sink)?;
     let image = sink.into_image(reader.taken_at_ns());
@@ -638,66 +704,48 @@ pub(crate) fn verify_chunk_file_bytes(
     raw_len: u64,
     gauge: &Gauge,
 ) -> Result<Vec<u8>, StoreError> {
-    let view = ChunkFile::parse(bytes).map_err(|what| StoreError::corrupt(label, what))?;
+    let corrupt = |what: String| StoreError::corrupt(label, format!("chunk {hash}: {what}"));
+    let view = ChunkFile::parse(bytes).map_err(corrupt)?;
     if view.raw_len != raw_len {
-        return Err(StoreError::corrupt(
-            label,
-            format!(
-                "chunk raw length {} does not match manifest ({raw_len})",
-                view.raw_len
-            ),
-        ));
+        return Err(corrupt(format!(
+            "raw length {} does not match manifest ({raw_len})",
+            view.raw_len
+        )));
     }
     let raw = decode(view.encoding, view.encoded, view.raw_len as usize)
-        .ok_or_else(|| StoreError::corrupt(label, "chunk payload failed to decode"))?;
+        .ok_or_else(|| corrupt("payload failed to decode".into()))?;
     gauge.add(raw.len() as u64);
     let actual = ContentHash::of(&raw);
     if actual != hash {
         gauge.sub(raw.len() as u64);
-        return Err(StoreError::corrupt(
-            label,
-            format!("chunk content hashes to {actual}, expected {hash}"),
-        ));
+        return Err(corrupt(format!("content hashes to {actual}")));
     }
     Ok(raw)
 }
 
-/// Loads, CRC-checks, decodes and hash-verifies one chunk from the local
-/// store, returning its raw bytes and the on-disk file size.
-fn fetch_chunk(
-    store: &ImageStore,
-    hash: ContentHash,
-    raw_len: u64,
+/// Fetches one planned chunk from `source` and runs the verification
+/// ladder over it — the one place restore bytes enter, eager or lazy,
+/// local or remote: a faulty disk or peer surfaces as corruption, never as
+/// wrong memory.  Returns the chunk's raw bytes (already `gauge.add`ed —
+/// the caller `sub`s when it drops them) and the encoded file/wire byte
+/// count moved.
+pub(crate) fn fetch_chunk(
+    source: ImageSource<'_>,
+    label: &Path,
+    entry: &FetchPlan,
+    priority: bool,
     gauge: &Gauge,
     obs: &ReaderObs,
 ) -> Result<(Vec<u8>, u64), StoreError> {
-    let path = store.chunk_path(hash);
     let stage = Span::enter(&obs.stage_fetch);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(StoreError::MissingChunk {
-                hash: hash.to_hex(),
-            })
-        }
-        Err(e) => return Err(StoreError::io(&path, e)),
-    };
+    let bytes = source.chunk_file_bytes(entry.hash, priority)?;
     stage.finish();
     let file_bytes = bytes.len() as u64;
     gauge.add(file_bytes);
     let stage = Span::enter(&obs.stage_verify);
-    let result = verify_chunk_file_bytes(&path, &bytes, hash, raw_len, gauge);
+    let result = verify_chunk_file_bytes(label, &bytes, entry.hash, entry.raw_len, gauge);
     stage.finish();
     drop(bytes);
     gauge.sub(file_bytes);
     result.map(|raw| (raw, file_bytes))
-}
-
-/// Re-exported manifest loader used by [`ImageStore::image_info`].
-pub(crate) fn load_manifest_file(path: &std::path::Path) -> Result<Manifest, StoreError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => return Err(StoreError::io(path, e)),
-    };
-    Manifest::from_bytes(&bytes).map_err(|e| StoreError::manifest(path, e))
 }

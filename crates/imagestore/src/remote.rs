@@ -1,7 +1,7 @@
-//! Remote replication over a [`Transport`]: dedup-aware shipping on the
-//! write side, verified parallel fetching on the restore side.
+//! Remote replication over a [`Transport`]: dedup-aware shipping of images
+//! and live checkpoints to a peer.
 //!
-//! Four entry points, all transport-agnostic:
+//! Three entry points, all transport-agnostic:
 //!
 //! * [`ImageStore::replicate_to`] — push one stored image to a peer,
 //!   restic/borg-style: batched `has_chunks` negotiation first, then only
@@ -17,15 +17,20 @@
 //!   a live checkpoint streams *directly* to the remote node without ever
 //!   touching a local store (the coordinator cannot tell the difference —
 //!   same trait the local writer pipeline implements).  Content is
-//!   chunked and hashed exactly like [`crate::writer::StreamWriter`]
+//!   chunked and its manifest assembled by the same
+//!   `crate::chunk::ManifestBuilder` as [`crate::writer::StreamWriter`]
 //!   (same boundaries ⇒ same hashes ⇒ dedup against anything the peer
 //!   already holds, local- or remote-written).
-//! * [`RemoteChunkSource`] — a [`ChunkSource`] whose chunks arrive via
-//!   `get_chunk`: the *same* parallel fetch/verify/splice pipeline as the
-//!   local [`crate::reader::StreamReader`] (one code path —
-//!   [`crate::reader::run_fetch_pipeline`]), so remote restores get the
-//!   bounded-memory guarantee and full integrity checking for free, plus
-//!   bounded retry on transient transport faults.
+//!
+//! `replicate_to` and the sink ship through one loop
+//! (`ShipObs::negotiate_and_ship`): one `has_chunks` round trip per
+//! [`HAS_CHUNKS_BATCH`] hashes, one `put_chunk` per missing chunk, the same
+//! retry and accounting.  They differ only in where a missing chunk's file
+//! bytes come from — the chunk directory, or an encode of staged pages.
+//!
+//! Restoring *from* a peer is not in this module: it is the one reader
+//! ([`crate::reader::StreamReader`]) opened over
+//! [`crate::reader::ImageSource::Peer`].
 //!
 //! Everything that crosses the wire is verified on arrival — the
 //! receiving side never trusts the sender (chunk CRC, decode, content
@@ -37,22 +42,19 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crac_addrspace::{PageRun, PAGE_SIZE};
+use crac_addrspace::PageRun;
 use crac_dmtcp::RegionDescriptor;
-use crac_obs::{Counter, EventKind, ObsRegistry, Span};
+use crac_obs::{Counter, EventKind, ObsRegistry};
 
-use crate::chunk::RunChunker;
+use crate::chunk::{ManifestBuilder, PackedChunk};
 use crate::codec::{encode, Compression};
 use crate::error::StoreError;
-use crate::format::{ChunkEntry, ChunkFile, Manifest, RegionEntry};
+use crate::format::{ChunkFile, Manifest};
 use crate::hash::ContentHash;
 use crate::pipeline::Gauge;
-use crate::reader::{
-    build_fetch_plan, declare_manifest, run_fetch_pipeline, verify_chunk_file_bytes, ChunkFetch,
-    ReadStats, ReaderObs,
-};
+use crate::reader::verify_chunk_file_bytes;
 use crate::store::{ImageId, ImageStore};
-use crate::stream::{ChunkSink, ChunkSource, RegionSink};
+use crate::stream::ChunkSink;
 use crate::transport::{with_transient_retry_observed, RetryObs, Transport, HAS_CHUNKS_BATCH};
 
 /// What one replication (or remote-streamed checkpoint) cost.
@@ -111,6 +113,8 @@ struct ShipObs {
     /// Long-lived registry (the store's, or one attached via
     /// [`RemoteChunkSink::with_obs`]).
     events: ObsRegistry,
+    /// Transient transport failures absorbed by the bounded retry.
+    retries: AtomicUsize,
     chunks_total: Counter,
     chunks_shipped: Counter,
     chunks_deduped: Counter,
@@ -129,23 +133,69 @@ impl ShipObs {
             raw_chunk_bytes: run.counter("crac_remote_raw_chunk_bytes"),
             bytes_shipped: run.counter("crac_remote_bytes_shipped"),
             has_batches: run.counter("crac_remote_has_batches"),
+            retries: AtomicUsize::new(0),
             run,
             events,
         }
     }
 
-    /// Retry observation for one transport operation.
-    fn retry(&self, op: &'static str) -> RetryObs {
-        RetryObs {
+    /// Runs one transport operation under the bounded transient retry,
+    /// recording each retry's cause and backoff on the long-lived registry.
+    fn with_retry<T>(
+        &self,
+        op: &'static str,
+        call: impl FnMut() -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let retry = RetryObs {
             reg: self.events.clone(),
             op,
-        }
+        };
+        with_transient_retry_observed(&self.retries, || false, Some(&retry), call)
     }
 
-    /// One negotiation batch settled: count it and surface non-empty
-    /// ship/dedup outcomes as events (per batch, not per chunk, so a
-    /// large image cannot flood the bounded ring).
-    fn batch_settled(&self, shipped: usize, shipped_bytes: u64, deduped: usize) {
+    /// One round of the dedup negotiation — the ship loop of both
+    /// [`ImageStore::replicate_to`] and [`RemoteChunkSink`]: ask the peer
+    /// which of `hashes` (distinct, at most [`HAS_CHUNKS_BATCH`]) it is
+    /// missing, ship exactly those, count the rest as dedup hits.
+    /// `file_bytes(i)` produces the verbatim chunk-file bytes of
+    /// `hashes[i]`; it is only called for chunks that travel.
+    fn negotiate_and_ship(
+        &self,
+        transport: &dyn Transport,
+        hashes: &[ContentHash],
+        mut file_bytes: impl FnMut(usize) -> Result<Vec<u8>, StoreError>,
+    ) -> Result<(), StoreError> {
+        if hashes.is_empty() {
+            return Ok(());
+        }
+        self.has_batches.inc();
+        let present = self.with_retry("has_chunks", || transport.has_chunks(hashes))?;
+        // A reply of the wrong length is a *protocol* defect in the peer,
+        // not weather: it will fail identically on every retry, so it is
+        // permanent, never transient.
+        if present.len() != hashes.len() {
+            return Err(StoreError::protocol(format!(
+                "peer answered {} has_chunks flags for {} hashes",
+                present.len(),
+                hashes.len()
+            )));
+        }
+        let (mut shipped, mut shipped_bytes, mut deduped) = (0usize, 0u64, 0usize);
+        for (i, (&hash, is_present)) in hashes.iter().zip(present).enumerate() {
+            if is_present {
+                self.chunks_deduped.inc();
+                deduped += 1;
+                continue;
+            }
+            let bytes = file_bytes(i)?;
+            self.with_retry("put_chunk", || transport.put_chunk(hash, &bytes))?;
+            self.chunks_shipped.inc();
+            self.bytes_shipped.add(bytes.len() as u64);
+            shipped += 1;
+            shipped_bytes += bytes.len() as u64;
+        }
+        // Outcomes surface per batch, not per chunk, so a large image
+        // cannot flood the bounded event ring.
         let batch = self.has_batches.get();
         if shipped > 0 {
             self.events.event(
@@ -159,14 +209,33 @@ impl ShipObs {
                 format!("batch={batch} chunks={deduped}"),
             );
         }
+        Ok(())
+    }
+
+    /// Publishes `manifest_bytes` on the peer — strictly after every chunk
+    /// landed — returning the id the peer assigned.
+    fn put_manifest(
+        &self,
+        transport: &dyn Transport,
+        manifest_bytes: &[u8],
+        parent: Option<ImageId>,
+    ) -> Result<ImageId, StoreError> {
+        let id = self.with_retry("put_manifest", || {
+            transport.put_manifest(manifest_bytes, parent)
+        })?;
+        self.run
+            .counter("crac_remote_manifest_bytes")
+            .add(manifest_bytes.len() as u64);
+        Ok(id)
     }
 
     /// Ends the run: folds the run registry into the long-lived one and
     /// returns [`ReplicateStats`] as a view over the final snapshot.
-    fn finish_stats(&self, retries: &AtomicUsize, elapsed: Duration) -> ReplicateStats {
+    fn finish_stats(&self, elapsed: Duration) -> ReplicateStats {
+        let retries = self.retries.load(Ordering::Relaxed);
         self.run
             .counter("crac_remote_transient_retries")
-            .add(retries.load(Ordering::Relaxed) as u64);
+            .add(retries as u64);
         let snap = self.run.snapshot();
         self.events.absorb(&snap);
         ReplicateStats {
@@ -177,19 +246,10 @@ impl ShipObs {
             bytes_shipped: snap.counter("crac_remote_bytes_shipped"),
             manifest_bytes: snap.counter("crac_remote_manifest_bytes"),
             has_batches: snap.counter("crac_remote_has_batches") as usize,
-            transient_retries: retries.load(Ordering::Relaxed),
+            transient_retries: retries,
             elapsed,
         }
     }
-}
-
-/// A `has_chunks` reply of the wrong length is a *protocol* defect in the
-/// peer, not weather: it will fail identically on every retry, so it is
-/// classified as permanent ([`StoreError::Protocol`]), never transient.
-fn protocol_violation(asked: usize, answered: usize) -> StoreError {
-    StoreError::protocol(format!(
-        "peer answered {answered} has_chunks flags for {asked} hashes"
-    ))
 }
 
 /// A [`ChunkSink`] that ships a streaming checkpoint straight to a remote
@@ -197,25 +257,20 @@ fn protocol_violation(asked: usize, answered: usize) -> StoreError {
 /// batches, and only missing content is encoded and shipped; the manifest
 /// is published last, under an id the *peer* assigns.
 ///
-/// Chunk boundaries replicate [`crate::writer::StreamWriter`]'s exactly,
-/// so a checkpoint streamed remotely dedups against images the peer
-/// received from any source.  Resumable by construction: a failed stream
-/// publishes no manifest, and a retried checkpoint re-negotiates — chunks
-/// that already landed are skipped, not re-sent.
+/// Chunk boundaries and manifest assembly are
+/// [`crate::writer::StreamWriter`]'s exactly (one `ManifestBuilder`), so
+/// a checkpoint streamed remotely dedups against images the peer received
+/// from any source.  Resumable by construction: a failed stream publishes
+/// no manifest, and a retried checkpoint re-negotiates — chunks that
+/// already landed are skipped, not re-sent.
 pub struct RemoteChunkSink<'t> {
     transport: &'t dyn Transport,
     compression: Compression,
     /// Peer-side parent for the published manifest's lineage.
     parent: Option<ImageId>,
-    taken_at_ns: u64,
     started: Instant,
-    retries: AtomicUsize,
-
-    // Chunker for the currently open region: the same shared
-    // [`RunChunker`] the local writer uses, so content hashes line up.
-    cur_region: Option<usize>,
-    chunker: RunChunker,
-
+    /// Region/chunk/payload bookkeeping shared with the local writer.
+    book: ManifestBuilder,
     /// Chunks awaiting their negotiation batch (bounded:
     /// [`HAS_CHUNKS_BATCH`] chunks of ≤[`crate::chunk::CHUNK_PAGES`] pages
     /// each).
@@ -224,11 +279,6 @@ pub struct RemoteChunkSink<'t> {
     /// accounting, and the in-stream dedup — a hash is staged (and so
     /// negotiated/shipped) at most once per stream.
     seen: HashSet<ContentHash>,
-
-    // Manifest accumulation.
-    regions: Vec<RegionDescriptor>,
-    chunks: Vec<Vec<ChunkEntry>>,
-    payloads: Vec<(String, Vec<u8>)>,
     obs: ShipObs,
 }
 
@@ -258,17 +308,11 @@ impl<'t> RemoteChunkSink<'t> {
             transport,
             compression,
             parent,
-            taken_at_ns: 0,
             // crac-lint: allow(raw-instant) — wall-clock anchor for ship stats, not a stage timing
             started: Instant::now(),
-            retries: AtomicUsize::new(0),
-            cur_region: None,
-            chunker: RunChunker::default(),
+            book: ManifestBuilder::default(),
             staged: Vec::new(),
             seen: HashSet::new(),
-            regions: Vec::new(),
-            chunks: Vec::new(),
-            payloads: Vec::new(),
             obs: ShipObs::new(obs),
         }
     }
@@ -276,155 +320,62 @@ impl<'t> RemoteChunkSink<'t> {
     /// Stamps the manifest's `taken_at_ns` (virtual checkpoint-completion
     /// time).  May be called at any point before [`RemoteChunkSink::finish`].
     pub fn set_taken_at(&mut self, ns: u64) {
-        self.taken_at_ns = ns;
+        self.book.taken_at_ns = ns;
     }
 
-    /// Records one packed chunk into the manifest and, if its content is
-    /// new to this stream, stages it for negotiation.
-    ///
-    /// A chunk emitted outside any region is a producer protocol
-    /// violation: it surfaces as [`StoreError::Protocol`] — an error on
-    /// the wire, never a process abort (this sink sits behind network
-    /// servers, where a misbehaving remote producer must not be able to
-    /// take the serving process down).
-    fn stage_chunk(&mut self, runs: Vec<PageRun>, raw: Vec<u8>) -> Result<(), StoreError> {
-        let region_seq = self
-            .cur_region
-            .ok_or_else(|| StoreError::protocol("chunk emitted outside any open region"))?;
-        let hash = ContentHash::of(&raw);
-        self.obs.raw_chunk_bytes.add(raw.len() as u64);
-        self.chunks[region_seq].push(ChunkEntry {
-            runs,
-            hash,
-            raw_len: raw.len() as u64,
-        });
-        // An in-stream twin references content already staged (or shipped
-        // or confirmed present): the manifest entry above is all it
-        // costs.  `chunks_total` counts distinct content, matching
-        // [`ImageStore::replicate_to`]'s accounting.
-        if !self.seen.insert(hash) {
-            return Ok(());
-        }
-        self.obs.chunks_total.inc();
-        self.staged.push(StagedChunk { hash, raw });
-        if self.staged.len() >= HAS_CHUNKS_BATCH {
-            self.negotiate_and_ship()?;
-        }
-        Ok(())
-    }
-
-    /// One round of the dedup negotiation: ask the peer which staged
-    /// hashes it is missing, ship exactly those, drop the rest.
-    fn negotiate_and_ship(&mut self) -> Result<(), StoreError> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let staged = std::mem::take(&mut self.staged);
-        // Staged hashes are distinct by construction (`seen`), so the
-        // whole batch is the query.
-        let to_query: Vec<ContentHash> = staged.iter().map(|c| c.hash).collect();
-        self.obs.has_batches.inc();
-        let transport = self.transport;
-        let retry = self.obs.retry("has_chunks");
-        let present = with_transient_retry_observed(
-            &self.retries,
-            || false,
-            Some(&retry),
-            || transport.has_chunks(&to_query),
-        )?;
-        if present.len() != to_query.len() {
-            return Err(protocol_violation(to_query.len(), present.len()));
-        }
-        let retry = self.obs.retry("put_chunk");
-        let (mut shipped, mut shipped_bytes, mut deduped) = (0usize, 0u64, 0usize);
-        for (chunk, is_present) in staged.into_iter().zip(present) {
-            if is_present {
-                // The peer already had this content.
-                self.obs.chunks_deduped.inc();
-                deduped += 1;
+    /// Hashes packed chunks into the manifest and stages content new to
+    /// this stream for negotiation.
+    fn stage_chunks(&mut self, packed: Vec<PackedChunk>) -> Result<(), StoreError> {
+        for (slot, raw) in packed {
+            let hash = ContentHash::of(&raw);
+            self.book.set_hash(slot, hash);
+            self.obs.raw_chunk_bytes.add(raw.len() as u64);
+            // An in-stream twin references content already staged (or
+            // shipped or confirmed present): the manifest entry is all it
+            // costs.  `chunks_total` counts distinct content, matching
+            // [`ImageStore::replicate_to`]'s accounting.
+            if !self.seen.insert(hash) {
                 continue;
             }
-            let raw_len = chunk.raw.len() as u64;
-            let (encoding, encoded) = encode(&chunk.raw, self.compression);
-            drop(chunk.raw);
-            let file_bytes = ChunkFile {
-                encoding,
-                raw_len,
-                encoded,
+            self.obs.chunks_total.inc();
+            self.staged.push(StagedChunk { hash, raw });
+            if self.staged.len() >= HAS_CHUNKS_BATCH {
+                self.ship_staged()?;
             }
-            .to_bytes();
-            with_transient_retry_observed(
-                &self.retries,
-                || false,
-                Some(&retry),
-                || transport.put_chunk(chunk.hash, &file_bytes),
-            )?;
-            self.obs.chunks_shipped.inc();
-            self.obs.bytes_shipped.add(file_bytes.len() as u64);
-            shipped += 1;
-            shipped_bytes += file_bytes.len() as u64;
         }
-        self.obs.batch_settled(shipped, shipped_bytes, deduped);
         Ok(())
+    }
+
+    /// Negotiates and ships the staged batch; a chunk is only encoded once
+    /// the peer said it is missing.
+    fn ship_staged(&mut self) -> Result<(), StoreError> {
+        let mut staged = std::mem::take(&mut self.staged);
+        let hashes: Vec<ContentHash> = staged.iter().map(|c| c.hash).collect();
+        let compression = self.compression;
+        self.obs.negotiate_and_ship(self.transport, &hashes, |i| {
+            let raw = std::mem::take(&mut staged[i].raw);
+            let (encoding, encoded) = encode(&raw, compression);
+            let file = ChunkFile {
+                encoding,
+                raw_len: raw.len() as u64,
+                encoded,
+            };
+            Ok(file.to_bytes())
+        })
     }
 
     /// Completes the stream: ships the final batch, publishes the
     /// manifest on the peer (strictly after every chunk landed) and
     /// returns the peer-assigned image id plus the shipping stats.
     pub fn finish(mut self) -> Result<(ImageId, ReplicateStats), StoreError> {
-        if self.cur_region.is_some() || !self.chunker.is_empty() {
-            return Err(StoreError::protocol(
-                "finish called with a region still open",
-            ));
-        }
-        self.negotiate_and_ship()?;
-
-        // Drop chunk entries fully superseded by later rounds' re-emitted
-        // runs (mirrors the local writer's manifest trim; already-shipped
-        // content stays on the peer — valid, unreferenced, sweepable).
-        for chunks in self.chunks.iter_mut() {
-            crate::chunk::trim_superseded(chunks, |c| c.runs.as_slice());
-        }
-
-        // Deterministic manifest regardless of producer payload order
-        // (mirrors the local writer).
-        self.payloads.sort_by(|(a, _), (b, _)| a.cmp(b));
-        let manifest = Manifest {
-            // The peer owns id allocation; 0 is the "unassigned" sentinel
-            // it rewrites on adoption.
-            image_id: ImageId(0),
-            parent: None,
-            taken_at_ns: self.taken_at_ns,
-            compression: self.compression,
-            regions: self
-                .regions
-                .iter()
-                .zip(self.chunks.iter())
-                .map(|(desc, chunks)| RegionEntry {
-                    start: desc.start.as_u64(),
-                    len: desc.len,
-                    prot: desc.prot,
-                    label: desc.label.clone(),
-                    chunks: chunks.clone(),
-                })
-                .collect(),
-            payloads: std::mem::take(&mut self.payloads),
-        };
-        let bytes = manifest.to_bytes();
-        let parent = self.parent;
-        let transport = self.transport;
-        let retry = self.obs.retry("put_manifest");
-        let id = with_transient_retry_observed(
-            &self.retries,
-            || false,
-            Some(&retry),
-            || transport.put_manifest(&bytes, parent),
-        )?;
-        self.obs
-            .run
-            .counter("crac_remote_manifest_bytes")
-            .add(bytes.len() as u64);
-        let stats = self.obs.finish_stats(&self.retries, self.started.elapsed());
+        // The peer owns id allocation (0 is the "unassigned" sentinel it
+        // rewrites on adoption) and records the lineage itself.
+        let manifest = std::mem::take(&mut self.book).finish(ImageId(0), None, self.compression)?;
+        self.ship_staged()?;
+        let id = self
+            .obs
+            .put_manifest(self.transport, &manifest.to_bytes(), self.parent)?;
+        let stats = self.obs.finish_stats(self.started.elapsed());
         self.obs.events.event(
             EventKind::CheckpointFinished,
             format!(
@@ -437,257 +388,23 @@ impl<'t> RemoteChunkSink<'t> {
 }
 
 impl ChunkSink for RemoteChunkSink<'_> {
-    // Ordering violations are real errors, not debug assertions: this
-    // sink is driven by remote producers (a checkpoint streaming in over
-    // a socket), and a misbehaving producer must surface as an error on
-    // the wire — release builds used to compile the checks out and then
-    // panic (or corrupt the manifest) further down.
     fn begin_region(&mut self, desc: &RegionDescriptor) -> Result<(), StoreError> {
-        if self.cur_region.is_some() {
-            return Err(StoreError::protocol(
-                "begin_region while a region is already open",
-            ));
-        }
-        // A start address seen before re-opens that region: a pre-copy
-        // producer appending a later round's re-dirtied runs (mirrors the
-        // local writer — later chunk entries win at restore).
-        let existing = self.regions.iter().position(|r| r.start == desc.start);
-        self.cur_region = Some(match existing {
-            Some(idx) => idx,
-            None => {
-                self.regions.push(desc.clone());
-                self.chunks.push(Vec::new());
-                self.regions.len() - 1
-            }
-        });
-        Ok(())
+        self.book.begin_region(desc)
     }
 
     fn push_run(&mut self, run: PageRun, bytes: &[u8]) -> Result<(), StoreError> {
-        if self.cur_region.is_none() {
-            return Err(StoreError::protocol("push_run outside any open region"));
-        }
-        if bytes.len() as u64 != run.count * PAGE_SIZE {
-            return Err(StoreError::protocol(format!(
-                "push_run payload is {} bytes but the run declares {} pages",
-                bytes.len(),
-                run.count
-            )));
-        }
-        // The shared RunChunker guarantees writer-identical boundaries,
-        // so content hashes — and therefore cross-node dedup — are
-        // stable by construction.
-        let mut chunker = std::mem::take(&mut self.chunker);
-        let result = chunker.push(run, bytes, &mut |runs, raw| self.stage_chunk(runs, raw));
-        self.chunker = chunker;
-        result
+        let packed = self.book.push_run(run, bytes)?;
+        self.stage_chunks(packed)
     }
 
     fn end_region(&mut self) -> Result<(), StoreError> {
-        if self.cur_region.is_none() {
-            return Err(StoreError::protocol("end_region without begin_region"));
-        }
-        let mut chunker = std::mem::take(&mut self.chunker);
-        let result = chunker.flush(&mut |runs, raw| self.stage_chunk(runs, raw));
-        self.chunker = chunker;
-        result?;
-        self.cur_region = None;
-        Ok(())
+        let (_, tail) = self.book.end_region()?;
+        self.stage_chunks(tail)
     }
 
     fn push_payload(&mut self, name: &str, data: &[u8]) -> Result<(), StoreError> {
-        self.payloads.push((name.to_string(), data.to_vec()));
+        self.book.push_payload(name, data);
         Ok(())
-    }
-}
-
-/// [`ChunkFetch`] over a transport: `get_chunk`, then the same
-/// verification ladder the local fetch runs (CRC → decode → content
-/// hash) — a faulty peer surfaces as corruption, never as wrong memory.
-pub(crate) struct RemoteFetch<'t> {
-    pub(crate) transport: &'t dyn Transport,
-    pub(crate) label: PathBuf,
-}
-
-impl RemoteFetch<'_> {
-    /// The shared get → verify ladder behind both fetch flavours.
-    fn fetch_with(
-        &self,
-        get: impl FnOnce() -> Result<Vec<u8>, StoreError>,
-        hash: ContentHash,
-        raw_len: u64,
-        gauge: &Gauge,
-        obs: &ReaderObs,
-    ) -> Result<(Vec<u8>, u64), StoreError> {
-        let stage = Span::enter(&obs.stage_fetch);
-        let bytes = get()?;
-        stage.finish();
-        let wire_bytes = bytes.len() as u64;
-        gauge.add(wire_bytes);
-        let stage = Span::enter(&obs.stage_verify);
-        let result = verify_chunk_file_bytes(&self.label, &bytes, hash, raw_len, gauge);
-        stage.finish();
-        drop(bytes);
-        gauge.sub(wire_bytes);
-        result.map(|raw| (raw, wire_bytes))
-    }
-}
-
-impl ChunkFetch for RemoteFetch<'_> {
-    fn fetch(
-        &self,
-        hash: ContentHash,
-        raw_len: u64,
-        gauge: &Gauge,
-        obs: &ReaderObs,
-    ) -> Result<(Vec<u8>, u64), StoreError> {
-        self.fetch_with(|| self.transport.get_chunk(hash), hash, raw_len, gauge, obs)
-    }
-
-    // A fault-path fetch jumps the transport's per-connection queueing
-    // (the pooled TCP client reserves a connection for these); the
-    // verification ladder is identical.
-    fn fetch_priority(
-        &self,
-        hash: ContentHash,
-        raw_len: u64,
-        gauge: &Gauge,
-        obs: &ReaderObs,
-    ) -> Result<(Vec<u8>, u64), StoreError> {
-        self.fetch_with(
-            || self.transport.get_chunk_priority(hash),
-            hash,
-            raw_len,
-            gauge,
-            obs,
-        )
-    }
-}
-
-/// A [`ChunkSource`] streaming a remote image: the restore-side mirror of
-/// [`RemoteChunkSink`].  Construction fetches and CRC-verifies the
-/// manifest only (descriptors, payloads and the timestamp are available
-/// before any content moves); [`ChunkSource::stream_out`] then runs the
-/// shared parallel fetch pipeline against the transport — with bounded
-/// retry on transient faults — and splices verified chunks into the sink
-/// as they arrive, under the same
-/// [`crate::reader::restore_buffer_bound`] memory bound as a local
-/// restore.
-pub struct RemoteChunkSource<'t> {
-    pub(crate) transport: &'t dyn Transport,
-    pub(crate) manifest: Manifest,
-    pub(crate) label: PathBuf,
-    pub(crate) obs: ReaderObs,
-    pub(crate) stats: ReadStats,
-}
-
-impl<'t> RemoteChunkSource<'t> {
-    /// Fetches and verifies the manifest of remote image `id`.
-    pub fn open(transport: &'t dyn Transport, id: ImageId) -> Result<Self, StoreError> {
-        Self::open_with_obs(transport, id, ObsRegistry::new())
-    }
-
-    /// Like [`RemoteChunkSource::open`], but recording into `obs`: the
-    /// restore's metrics are folded into it when the stream completes,
-    /// and restore/retry events land on it live.
-    pub fn open_with_obs(
-        transport: &'t dyn Transport,
-        id: ImageId,
-        obs: ObsRegistry,
-    ) -> Result<Self, StoreError> {
-        let obs = ReaderObs::new(obs);
-        let retries = AtomicUsize::new(0);
-        let retry = obs.retry("get_manifest");
-        let bytes = with_transient_retry_observed(
-            &retries,
-            || false,
-            Some(&retry),
-            || transport.get_manifest(id),
-        )?;
-        let label = PathBuf::from(format!("remote:{id}"));
-        let manifest = Manifest::from_bytes(&bytes).map_err(|e| StoreError::manifest(&label, e))?;
-        obs.run
-            .counter("crac_reader_manifest_bytes")
-            .add(bytes.len() as u64);
-        obs.run
-            .counter("crac_reader_transient_retries")
-            .add(retries.load(Ordering::Relaxed) as u64);
-        let stats = ReadStats {
-            manifest_bytes: bytes.len() as u64,
-            transient_retries: retries.load(Ordering::Relaxed),
-            ..Default::default()
-        };
-        Ok(Self {
-            transport,
-            manifest,
-            label,
-            obs,
-            stats,
-        })
-    }
-
-    /// Virtual time the stored checkpoint was taken.
-    pub fn taken_at_ns(&self) -> u64 {
-        self.manifest.taken_at_ns
-    }
-
-    /// A named plugin payload (inline manifest data, available without
-    /// fetching a single chunk).
-    pub fn payload(&self, name: &str) -> Option<&[u8]> {
-        self.manifest
-            .payloads
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| d.as_slice())
-    }
-
-    /// Number of saved regions the image describes.
-    pub fn region_count(&self) -> usize {
-        self.manifest.regions.len()
-    }
-
-    /// What the read has cost so far (complete once
-    /// [`ChunkSource::stream_out`] returned).
-    pub fn stats(&self) -> ReadStats {
-        self.stats
-    }
-}
-
-impl ChunkSource for RemoteChunkSource<'_> {
-    fn stream_out(&mut self, sink: &mut dyn RegionSink) -> Result<(), StoreError> {
-        // crac-lint: allow(raw-instant) — whole-restore wall time lands in ReadStats via finish_stats
-        let start = Instant::now();
-        self.obs.events.event(
-            EventKind::RestoreBegun,
-            format!(
-                "source={} regions={}",
-                self.label.display(),
-                self.manifest.regions.len()
-            ),
-        );
-        declare_manifest(&self.manifest, sink)?;
-        let (plan, refs_total) = build_fetch_plan(&self.manifest, &self.label)?;
-        self.obs
-            .run
-            .counter("crac_reader_chunks_cached")
-            .add((refs_total - plan.len()) as u64);
-        let fetcher = RemoteFetch {
-            transport: self.transport,
-            label: self.label.clone(),
-        };
-        let result = run_fetch_pipeline(&plan, sink, &fetcher, &self.obs);
-        self.stats = self.obs.finish_stats(start.elapsed());
-        self.obs.events.event(
-            EventKind::RestoreFinished,
-            format!(
-                "source={} ok={} chunks_read={} bytes_read={}",
-                self.label.display(),
-                result.is_ok(),
-                self.stats.chunks_read,
-                self.stats.chunk_bytes_read
-            ),
-        );
-        result
     }
 }
 
@@ -713,86 +430,50 @@ impl ImageStore {
         let started = Instant::now();
         // One read serves both the chunk walk and the final publication —
         // the manifest cannot vanish (or change) between the two.
-        let manifest_path = self.image_path(id);
-        let manifest_bytes = match std::fs::read(&manifest_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StoreError::UnknownImage(id))
-            }
-            Err(e) => return Err(StoreError::io(&manifest_path, e)),
-        };
+        let manifest_bytes = self.read_manifest_bytes(id)?;
         let manifest = Manifest::from_bytes(&manifest_bytes)
-            .map_err(|e| StoreError::manifest(&manifest_path, e))?;
+            .map_err(|e| StoreError::manifest(self.image_path(id), e))?;
         let obs = ShipObs::new(self.obs());
-        let retries = AtomicUsize::new(0);
 
         // Distinct hashes in first-reference order.
-        let mut hashes: Vec<(ContentHash, u64)> = Vec::new();
+        let mut hashes: Vec<ContentHash> = Vec::new();
+        let mut raw_lens: Vec<u64> = Vec::new();
         let mut seen: HashSet<ContentHash> = HashSet::new();
         for chunk in manifest.chunk_refs() {
             obs.raw_chunk_bytes.add(chunk.raw_len);
             if seen.insert(chunk.hash) {
-                hashes.push((chunk.hash, chunk.raw_len));
+                hashes.push(chunk.hash);
+                raw_lens.push(chunk.raw_len);
             }
         }
         obs.chunks_total.add(hashes.len() as u64);
 
-        for batch in hashes.chunks(HAS_CHUNKS_BATCH) {
-            let query: Vec<ContentHash> = batch.iter().map(|(h, _)| *h).collect();
-            obs.has_batches.inc();
-            let retry = obs.retry("has_chunks");
-            let present = with_transient_retry_observed(
-                &retries,
-                || false,
-                Some(&retry),
-                || transport.has_chunks(&query),
-            )?;
-            if present.len() != query.len() {
-                return Err(protocol_violation(query.len(), present.len()));
-            }
-            let retry = obs.retry("put_chunk");
-            let (mut shipped, mut shipped_bytes, mut deduped) = (0usize, 0u64, 0usize);
-            for (&(hash, raw_len), is_present) in batch.iter().zip(present) {
-                if is_present {
-                    obs.chunks_deduped.inc();
-                    deduped += 1;
-                    continue;
-                }
-                let path = self.chunk_path(hash);
-                let file_bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
+        for (batch, raw_lens) in hashes
+            .chunks(HAS_CHUNKS_BATCH)
+            .zip(raw_lens.chunks(HAS_CHUNKS_BATCH))
+        {
+            obs.negotiate_and_ship(transport, batch, |i| {
+                let file_bytes = self.read_chunk_file_bytes(batch[i])?;
                 // Never ship bytes we would not accept ourselves: verify
                 // the local chunk before it crosses the wire, so a locally
                 // corrupted store fails the replication loudly instead of
                 // poisoning the peer.
-                let gauge = Gauge::default();
-                verify_chunk_file_bytes(&path, &file_bytes, hash, raw_len, &gauge)?;
-                with_transient_retry_observed(
-                    &retries,
-                    || false,
-                    Some(&retry),
-                    || transport.put_chunk(hash, &file_bytes),
+                let path = self.chunk_path(batch[i]);
+                verify_chunk_file_bytes(
+                    &path,
+                    &file_bytes,
+                    batch[i],
+                    raw_lens[i],
+                    &Gauge::default(),
                 )?;
-                obs.chunks_shipped.inc();
-                obs.bytes_shipped.add(file_bytes.len() as u64);
-                shipped += 1;
-                shipped_bytes += file_bytes.len() as u64;
-            }
-            obs.batch_settled(shipped, shipped_bytes, deduped);
+                Ok(file_bytes)
+            })?;
         }
 
         // Chunks all landed: publish the manifest (its verbatim file
         // bytes — the peer re-verifies the CRC and rewrites the identity).
-        let retry = obs.retry("put_manifest");
-        let remote_id = with_transient_retry_observed(
-            &retries,
-            || false,
-            Some(&retry),
-            || transport.put_manifest(&manifest_bytes, None),
-        )?;
-        obs.run
-            .counter("crac_remote_manifest_bytes")
-            .add(manifest_bytes.len() as u64);
-        let stats = obs.finish_stats(&retries, started.elapsed());
+        let remote_id = obs.put_manifest(transport, &manifest_bytes, None)?;
+        let stats = obs.finish_stats(started.elapsed());
         Ok((remote_id, stats))
     }
 
@@ -815,19 +496,12 @@ impl ImageStore {
         // crac-lint: allow(raw-instant) — whole-pull wall time lands in ReplicateStats
         let started = Instant::now();
         let obs = ShipObs::new(self.obs());
-        let retries = AtomicUsize::new(0);
-        let retry = obs.retry("get_manifest");
-        let manifest_bytes = with_transient_retry_observed(
-            &retries,
-            || false,
-            Some(&retry),
-            || transport.get_manifest(remote_id),
-        )?;
+        let manifest_bytes =
+            obs.with_retry("get_manifest", || transport.get_manifest(remote_id))?;
         let label = PathBuf::from(format!("remote:{remote_id}"));
         let manifest =
             Manifest::from_bytes(&manifest_bytes).map_err(|e| StoreError::manifest(&label, e))?;
 
-        let retry = obs.retry("get_chunk");
         let mut seen: HashSet<ContentHash> = HashSet::new();
         for chunk in manifest.chunk_refs() {
             obs.raw_chunk_bytes.add(chunk.raw_len);
@@ -839,12 +513,7 @@ impl ImageStore {
                 obs.chunks_deduped.inc();
                 continue;
             }
-            let file_bytes = with_transient_retry_observed(
-                &retries,
-                || false,
-                Some(&retry),
-                || transport.get_chunk(chunk.hash),
-            )?;
+            let file_bytes = obs.with_retry("get_chunk", || transport.get_chunk(chunk.hash))?;
             // The locked ingest re-verifies (CRC, decode, content hash)
             // before the atomic rename publishes the chunk; we already
             // hold the writer gate, so the `_locked` variant avoids a
@@ -858,7 +527,7 @@ impl ImageStore {
         obs.run
             .counter("crac_remote_manifest_bytes")
             .add(manifest_bytes.len() as u64);
-        let stats = obs.finish_stats(&retries, started.elapsed());
+        let stats = obs.finish_stats(started.elapsed());
         obs.events.event(
             EventKind::ChunkShipped,
             format!(
@@ -875,7 +544,7 @@ mod tests {
     use super::*;
     use crate::testutil::TempDir;
     use crate::transport::LoopbackTransport;
-    use crac_addrspace::Addr;
+    use crac_addrspace::{Addr, PAGE_SIZE};
 
     fn descriptor() -> RegionDescriptor {
         RegionDescriptor {

@@ -299,7 +299,7 @@ impl ImageStore {
     /// arrive — peak buffered payload is bounded by
     /// [`crate::reader::restore_buffer_bound`], never the image size.
     pub fn stream_restore(&self, id: ImageId) -> Result<reader::StreamReader<'_>, StoreError> {
-        reader::StreamReader::new(self, id)
+        reader::StreamReader::open(reader::ImageSource::Store(self), id, self.obs())
     }
 
     /// Deletes image `id` and reclaims every chunk no surviving manifest
@@ -737,18 +737,8 @@ impl ImageStore {
     }
 
     pub(crate) fn load_manifest(&self, id: ImageId) -> Result<Manifest, StoreError> {
-        let path = self.image_path(id);
-        if !path.exists() {
-            return Err(StoreError::UnknownImage(id));
-        }
-        reader::load_manifest_file(&path)
-    }
-
-    pub(crate) fn manifest_size(&self, id: ImageId) -> Result<u64, StoreError> {
-        let path = self.image_path(id);
-        fs::metadata(&path)
-            .map(|m| m.len())
-            .map_err(|e| StoreError::io(&path, e))
+        Manifest::from_bytes(&self.read_manifest_bytes(id)?)
+            .map_err(|e| StoreError::manifest(self.image_path(id), e))
     }
 
     fn info_of(manifest: &Manifest) -> ImageInfo {

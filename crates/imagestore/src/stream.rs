@@ -2,28 +2,27 @@
 //!
 //! **Checkpoint (write)**: producers push `(region descriptor, page-run
 //! payload)` records into a [`ChunkSink`], and anything that can enumerate
-//! regions run by run is a [`RegionSource`].  The writer pipeline
-//! ([`crate::writer::StreamWriter`]) is the canonical `ChunkSink` (records
-//! flow through it straight into chunk files without the image ever being
-//! materialised), but the trait is deliberately store-agnostic — a remote
-//! or replicated backend implements the same four methods and every
-//! producer (the DMTCP coordinator, an in-memory image, a migration
-//! source) works against it unchanged —
-//! [`crate::remote::RemoteChunkSink`] is exactly that: the same records,
-//! shipped to a peer over a [`crate::transport::Transport`].
+//! regions run by run is a [`RegionSource`].  The trait is deliberately
+//! location-agnostic, and there are two sinks because there are two
+//! *pipelines*: [`crate::writer::StreamWriter`] (parallel hash/encode and
+//! batched publish into a local store's chunk files) and
+//! [`crate::remote::RemoteChunkSink`] (has/put negotiation with a peer over
+//! a [`crate::transport::Transport`]).  What is *not* pipeline — region
+//! re-opens, chunk boundaries, manifest assembly — they share
+//! (`crate::chunk::ManifestBuilder`), and every producer (the DMTCP
+//! coordinator, an in-memory image) works against either unchanged.
 //!
 //! **Restore (read)** — the mirror image: anything that can deliver a
 //! stored image's content chunk by chunk is a [`ChunkSource`], and
-//! consumers accept its records through a [`RegionSink`].  The reader
-//! pipeline ([`crate::reader::StreamReader`]) is the canonical
-//! `ChunkSource`; [`MaterialiseSink`] rebuilds a full `CheckpointImage`
-//! for legacy in-memory users.  Because verified chunks arrive in fetch
-//! order, `RegionSink` declares every region up front and then accepts
-//! page runs in *arbitrary* order, each tagged with its target region —
-//! the contract that lets the splice overlap fetch/verify with no
-//! barrier.  [`crate::remote::RemoteChunkSource`] slots in as exactly
-//! such another `ChunkSource`, fetching over a transport instead of from
-//! the chunk directory.
+//! consumers accept its records through a [`RegionSink`].  There is one
+//! disk- or wire-backed `ChunkSource`, [`crate::reader::StreamReader`],
+//! whose bytes come from a store or a peer alike
+//! ([`crate::reader::ImageSource`]); [`MaterialiseSink`] rebuilds a full
+//! `CheckpointImage` for in-memory users and as the test oracle.  Because
+//! verified chunks arrive in fetch order, `RegionSink` declares every
+//! region up front and then accepts page runs in *arbitrary* order, each
+//! tagged with its target region — the contract that lets the splice
+//! overlap fetch/verify with no barrier.
 //!
 //! [`SinkBridge`] adapts a `ChunkSink` to `crac_dmtcp`'s
 //! [`CheckpointSink`] so the coordinator — which cannot depend on this

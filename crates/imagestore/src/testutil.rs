@@ -1,4 +1,6 @@
-//! Test/bench support: a self-cleaning temporary directory.
+//! Test/bench support: a self-cleaning temporary directory, and the eager
+//! restore spelled out once for callers that already hold a coordinator
+//! and a space.
 //!
 //! The environment has no `tempfile` crate, so tests and benches share this
 //! minimal equivalent.  Not part of the store's public API surface proper
@@ -6,6 +8,24 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crac_addrspace::SharedSpace;
+use crac_dmtcp::{Coordinator, RestartStats};
+
+use crate::{restore, ImageId, ImageSource, ReadStats, StoreError, StreamReader};
+
+/// Eagerly restores image `id` of `source` into `space` through
+/// `coordinator`, recording into the coordinator's registry.
+pub fn restore_into(
+    coordinator: &Coordinator,
+    source: ImageSource<'_>,
+    id: ImageId,
+    space: &SharedSpace,
+) -> Result<(RestartStats, ReadStats), StoreError> {
+    let reader = StreamReader::open(source, id, coordinator.obs())?;
+    let (stats, read, _) = restore(reader, false, |install| install(coordinator, space))?;
+    Ok((stats, read))
+}
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 

@@ -9,7 +9,7 @@
 //! bytes (already CRC-framed and content-addressed, so both sides can
 //! verify everything end to end), and `list/get/put_manifest` for the image
 //! metadata.  Everything above the trait — [`crate::remote::RemoteChunkSink`],
-//! [`crate::remote::RemoteChunkSource`], [`crate::ImageStore::replicate_to`] —
+//! the reader over [`crate::ImageSource::Peer`], [`crate::ImageStore::replicate_to`] —
 //! is transport-agnostic; a real TCP or object-store backend later plugs in
 //! under the same six methods.
 //!

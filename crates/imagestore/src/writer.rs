@@ -53,10 +53,10 @@ use crac_dmtcp::RegionDescriptor;
 use crac_obs::{Buckets, Counter, EventKind, Histogram, ObsRegistry, Span};
 use crac_sync::Mutex;
 
-use crate::chunk::{trim_superseded, RunChunker, CHUNK_PAGES};
+use crate::chunk::{ChunkSlot, ManifestBuilder, PackedChunk, CHUNK_PAGES};
 use crate::codec::{encode, Compression, Encoding};
 use crate::error::StoreError;
-use crate::format::{ChunkEntry, ChunkFile, Manifest, RegionEntry};
+use crate::format::{ChunkFile, Manifest};
 use crate::hash::ContentHash;
 use crate::pipeline::{latch, ErrorSlot, Gauge};
 use crate::store::{ImageId, ImageStore, SharedIndex};
@@ -171,15 +171,13 @@ pub fn stream_buffer_bound(threads: usize) -> u64 {
 
 /// A chunk handed from the producer to the encoders.
 struct EncodeJob {
-    region_seq: usize,
-    chunk_seq: usize,
+    slot: ChunkSlot,
     raw: Vec<u8>,
 }
 
 /// An encoded chunk handed from an encoder to the I/O thread.
 struct WriteJob {
-    region_seq: usize,
-    chunk_seq: usize,
+    slot: ChunkSlot,
     hash: ContentHash,
     encoding: Encoding,
     raw_len: u64,
@@ -204,19 +202,10 @@ struct IoObs {
 
 /// The hash/dedup verdict for one chunk, reported back to the producer.
 struct ChunkOutcome {
-    region_seq: usize,
-    chunk_seq: usize,
+    slot: ChunkSlot,
     hash: ContentHash,
     /// Chunk-file bytes written, or `None` for a dedup hit.
     written_bytes: Option<u64>,
-}
-
-/// A chunk's manifest metadata, known at submit time; the hash arrives
-/// later via its [`ChunkOutcome`].
-struct PendingChunk {
-    runs: Vec<PageRun>,
-    raw_len: u64,
-    hash: Option<ContentHash>,
 }
 
 /// The streaming writer: the store's canonical [`ChunkSink`].
@@ -246,15 +235,8 @@ pub struct StreamWriter<'s> {
     encoders: Vec<JoinHandle<()>>,
     io_thread: Option<JoinHandle<()>>,
 
-    // Chunker state for the currently open region.
-    cur_region: Option<usize>,
-    chunker: RunChunker,
-
-    // Manifest accumulation.
-    regions: Vec<RegionDescriptor>,
-    chunks: Vec<Vec<PendingChunk>>,
-    payloads: Vec<(String, Vec<u8>)>,
-    taken_at_ns: u64,
+    /// Region/chunk/payload bookkeeping shared with the remote sink.
+    book: ManifestBuilder,
     threads: usize,
 
     /// Per-run registry: the pipeline's single source of truth for write
@@ -354,12 +336,7 @@ impl<'s> StreamWriter<'s> {
             outcome_rx: Some(outcome_rx),
             encoders,
             io_thread: Some(io_thread),
-            cur_region: None,
-            chunker: RunChunker::default(),
-            regions: Vec::new(),
-            chunks: Vec::new(),
-            payloads: Vec::new(),
-            taken_at_ns: 0,
+            book: ManifestBuilder::default(),
             threads,
             run,
             chunks_total_c,
@@ -370,7 +347,7 @@ impl<'s> StreamWriter<'s> {
     /// Stamps the manifest's `taken_at_ns` (virtual checkpoint-completion
     /// time).  May be called at any point before the write finishes.
     pub fn set_taken_at(&mut self, ns: u64) {
-        self.taken_at_ns = ns;
+        self.book.taken_at_ns = ns;
     }
 
     /// Fails fast if the pipeline has already latched an error.
@@ -381,37 +358,23 @@ impl<'s> StreamWriter<'s> {
         Ok(())
     }
 
-    /// Submits one packed chunk to the encoders (blocking while the job
+    /// Submits packed chunks to the encoders (blocking while the job
     /// queue is full — that backpressure is what bounds the producer).
-    fn submit_chunk(&mut self, runs: Vec<PageRun>, raw: Vec<u8>) -> Result<(), StoreError> {
-        // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-        let region_seq = self.cur_region.expect("chunk outside a region");
-        self.chunks_total_c.inc();
-        self.raw_bytes_c.add(raw.len() as u64);
-        self.gauge.add(raw.len() as u64);
-        let chunk_seq = self.chunks[region_seq].len();
-        self.chunks[region_seq].push(PendingChunk {
-            runs,
-            raw_len: raw.len() as u64,
-            hash: None,
-        });
-        let job = EncodeJob {
-            region_seq,
-            chunk_seq,
-            raw,
-        };
-        if self
-            .job_tx
-            .as_ref()
-            // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-            .expect("pipeline already shut down")
-            .send(job)
-            .is_err()
-        {
-            // Every encoder exited early — only happens after a latched
-            // error (or a panic, which the latch check turns into Busy).
-            self.check_failed()?;
-            return Err(StoreError::busy("writer pipeline stalled"));
+    fn submit_chunks(&mut self, packed: Vec<PackedChunk>) -> Result<(), StoreError> {
+        for (slot, raw) in packed {
+            self.chunks_total_c.inc();
+            self.raw_bytes_c.add(raw.len() as u64);
+            self.gauge.add(raw.len() as u64);
+            let sent = self
+                .job_tx
+                .as_ref()
+                .is_some_and(|tx| tx.send(EncodeJob { slot, raw }).is_ok());
+            if !sent {
+                // Every encoder exited early — only happens after a latched
+                // error (or a panic, which the latch check turns into Busy).
+                self.check_failed()?;
+                return Err(StoreError::busy("writer pipeline stalled"));
+            }
         }
         Ok(())
     }
@@ -430,10 +393,6 @@ impl<'s> StreamWriter<'s> {
     /// Completes the write: drains the pipeline, assembles and publishes
     /// the manifest, and commits the new chunks to the store index.
     pub(crate) fn finish(mut self) -> Result<(Manifest, WriteStats), StoreError> {
-        debug_assert!(
-            self.chunker.is_empty(),
-            "finish called with an unclosed region"
-        );
         self.shutdown_pipeline();
         self.check_failed()?;
 
@@ -458,59 +417,22 @@ impl<'s> StreamWriter<'s> {
         // into the run registry; the outcome loop only has to collect the
         // hashes the manifest needs and the set of chunks to commit.
         let mut newly_written: Vec<ContentHash> = Vec::new();
-        // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-        let outcome_rx = self.outcome_rx.take().expect("finish runs once");
-        for outcome in outcome_rx.iter() {
-            let slot = &mut self.chunks[outcome.region_seq][outcome.chunk_seq];
-            debug_assert!(slot.hash.is_none(), "duplicate outcome for one chunk");
-            slot.hash = Some(outcome.hash);
+        for outcome in self.outcome_rx.take().into_iter().flatten() {
+            self.book.set_hash(outcome.slot, outcome.hash);
             if outcome.written_bytes.is_some() {
                 newly_written.push(outcome.hash);
             }
         }
-
-        // Drop chunk entries fully superseded by later rounds' re-emitted
-        // runs: every page they cover is re-covered by a later entry, so
-        // no fetch plan would ever read a byte from them.  (Their chunk
-        // files stay — valid, unreferenced, GC-sweepable.)
-        for chunks in self.chunks.iter_mut() {
-            trim_superseded(chunks, |c| c.runs.as_slice());
-        }
-
-        // Deterministic manifest regardless of producer payload order.
-        self.payloads.sort_by(|(a, _), (b, _)| a.cmp(b));
         self.run
             .counter("crac_writer_payload_bytes")
-            .add(self.payloads.iter().map(|(_, d)| d.len() as u64).sum());
+            .add(self.book.payload_bytes());
 
         let image_id = self.store.allocate_image_id();
-        let manifest = Manifest {
+        let manifest = std::mem::take(&mut self.book).finish(
             image_id,
-            parent: self.opts.parent,
-            taken_at_ns: self.taken_at_ns,
-            compression: self.opts.compression,
-            regions: self
-                .regions
-                .iter()
-                .zip(self.chunks.iter())
-                .map(|(desc, chunks)| RegionEntry {
-                    start: desc.start.as_u64(),
-                    len: desc.len,
-                    prot: desc.prot,
-                    label: desc.label.clone(),
-                    chunks: chunks
-                        .iter()
-                        .map(|c| ChunkEntry {
-                            runs: c.runs.clone(),
-                            // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-                            hash: c.hash.expect("pipeline reported every chunk"),
-                            raw_len: c.raw_len,
-                        })
-                        .collect(),
-                })
-                .collect(),
-            payloads: std::mem::take(&mut self.payloads),
-        };
+            self.opts.parent,
+            self.opts.compression,
+        )?;
         let manifest_bytes = manifest.to_bytes();
         write_atomically(&self.store.image_path(image_id), &manifest_bytes)?;
         self.run
@@ -583,61 +505,29 @@ impl Drop for StreamWriter<'_> {
 impl ChunkSink for StreamWriter<'_> {
     fn begin_region(&mut self, desc: &RegionDescriptor) -> Result<(), StoreError> {
         self.check_failed()?;
-        debug_assert!(self.cur_region.is_none(), "begin_region while one is open");
-        // A start address seen before re-opens that region: a pre-copy
-        // producer appending a later round's re-dirtied runs.  The new
-        // chunks land *after* the earlier ones in the region's chunk list,
-        // which is exactly the order the restore side's last-write-wins
-        // resolution relies on.
-        let existing = self.regions.iter().position(|r| r.start == desc.start);
-        self.cur_region = Some(match existing {
-            Some(idx) => idx,
-            None => {
-                self.regions.push(desc.clone());
-                self.chunks.push(Vec::new());
-                self.regions.len() - 1
-            }
-        });
-        Ok(())
+        self.book.begin_region(desc)
     }
 
     fn push_run(&mut self, run: PageRun, bytes: &[u8]) -> Result<(), StoreError> {
         self.check_failed()?;
-        debug_assert_eq!(bytes.len() as u64, run.count * PAGE_SIZE);
-        debug_assert!(self.cur_region.is_some(), "push_run outside a region");
-        // The shared RunChunker splits at the same boundaries for every
-        // sink, so content hashes — and therefore dedup against other
-        // stores and nodes — are stable by construction.
-        let mut chunker = std::mem::take(&mut self.chunker);
-        let result = chunker.push(run, bytes, &mut |runs, raw| self.submit_chunk(runs, raw));
-        self.chunker = chunker;
-        result
+        let packed = self.book.push_run(run, bytes)?;
+        self.submit_chunks(packed)
     }
 
     fn end_region(&mut self) -> Result<(), StoreError> {
-        let mut chunker = std::mem::take(&mut self.chunker);
-        let result = chunker.flush(&mut |runs, raw| self.submit_chunk(runs, raw));
-        self.chunker = chunker;
-        result?;
-        // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-        let region = self.cur_region.expect("end_region without begin");
-        let desc = &self.regions[region];
+        let (region, tail) = self.book.end_region()?;
+        self.submit_chunks(tail)?;
+        let (desc, chunks) = self.book.region(region);
         self.store.obs().event(
             EventKind::RegionStreamed,
-            format!(
-                "label={} len={} chunks={}",
-                desc.label,
-                desc.len,
-                self.chunks[region].len()
-            ),
+            format!("label={} len={} chunks={chunks}", desc.label, desc.len),
         );
-        self.cur_region = None;
         Ok(())
     }
 
     fn push_payload(&mut self, name: &str, data: &[u8]) -> Result<(), StoreError> {
         self.check_failed()?;
-        self.payloads.push((name.to_string(), data.to_vec()));
+        self.book.push_payload(name, data);
         Ok(())
     }
 }
@@ -686,8 +576,7 @@ fn spawn_encoder(
             drop(job.raw);
             gauge.sub(raw_len);
             let send = write_tx.send(WriteJob {
-                region_seq: job.region_seq,
-                chunk_seq: job.chunk_seq,
+                slot: job.slot,
                 hash,
                 encoding,
                 raw_len,
@@ -702,8 +591,7 @@ fn spawn_encoder(
             obs.chunks_deduped.inc();
             gauge.sub(raw_len);
             let _ = outcome_tx.send(ChunkOutcome {
-                region_seq: job.region_seq,
-                chunk_seq: job.chunk_seq,
+                slot: job.slot,
                 hash,
                 written_bytes: None,
             });
@@ -749,8 +637,7 @@ fn spawn_io(
                     obs.chunks_written.inc();
                     obs.chunk_bytes_written.add(bytes.len() as u64);
                     let _ = outcome_tx.send(ChunkOutcome {
-                        region_seq: job.region_seq,
-                        chunk_seq: job.chunk_seq,
+                        slot: job.slot,
                         hash: job.hash,
                         written_bytes: Some(bytes.len() as u64),
                     });

@@ -17,10 +17,10 @@ use std::time::Duration;
 use crac_addrspace::{Addr, Half, MapRequest, MemError, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{Coordinator, CoordinatorConfig};
 use crac_imagestore::net::{serve_on, TcpTransport};
-use crac_imagestore::testutil::TempDir;
+use crac_imagestore::testutil::{restore_into, TempDir};
 use crac_imagestore::{
-    CoordinatorStoreExt, FaultConfig, FaultyTransport, ImageId, ImageStore, LazyRestoreStats,
-    ReadStats, WriteOptions,
+    checkpoint_to, CkptTarget, FaultConfig, FaultyTransport, ImageId, ImageSource, ImageStore,
+    LazyRestoreSession, LazyRestoreStats, ReadStats, StreamReader, WriteOptions,
 };
 use proptest::prelude::*;
 
@@ -45,10 +45,19 @@ fn checkpointed_image(store: &ImageStore, seed: u8) -> (ImageId, Addr, Vec<u8>) 
         space.write_bytes(a + page * PAGE_SIZE, &head).unwrap();
     }
     let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-    let (id, _, _) = coord
-        .checkpoint_to_store(store, 7, &WriteOptions::full())
-        .unwrap();
+    let target = CkptTarget::Store(store, WriteOptions::full());
+    let (id, _, _) = checkpoint_to(&coord, target, None, |_| 7).unwrap();
     (id, a, mapping_bytes(&space, a))
+}
+
+/// Opens a lazy session over image `id` of `source`, recording into
+/// `coord`'s registry.
+fn open_lazy<'a>(
+    coord: &Coordinator,
+    source: ImageSource<'a>,
+    id: ImageId,
+) -> LazyRestoreSession<'a> {
+    LazyRestoreSession::open(StreamReader::open(source, id, coord.obs()).unwrap()).unwrap()
 }
 
 /// Reads the whole mapped range of `space`.
@@ -69,8 +78,8 @@ fn lazy_restore_local(
 ) -> (Vec<u8>, ReadStats, LazyRestoreStats) {
     let space = SharedSpace::new_no_aslr();
     let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-    let session = coord.open_lazy_restore(store, id).unwrap();
-    session.attach(&coord, &space);
+    let session = open_lazy(&coord, ImageSource::Store(store), id);
+    session.attach(&coord, &space).unwrap();
     std::thread::scope(|scope| {
         session.spawn_workers(scope);
         for &(page, off) in touches {
@@ -95,16 +104,14 @@ fn lazy_restore_resumes_on_absent_pages_and_converges_to_eager_memory() {
     // Eager baseline through the same coordinator seam.
     let eager_space = SharedSpace::new_no_aslr();
     let eager_coord = Coordinator::new(eager_space.clone(), CoordinatorConfig::default());
-    eager_coord
-        .restart_from_store(&store, id, &eager_space)
-        .unwrap();
+    restore_into(&eager_coord, ImageSource::Store(&store), id, &eager_space).unwrap();
     assert_eq!(mapping_bytes(&eager_space, a), truth);
 
     // Lazy: resumable with every planned page absent, zero chunks moved.
     let space = SharedSpace::new_no_aslr();
     let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-    let session = coord.open_lazy_restore(&store, id).unwrap();
-    let rstats = session.attach(&coord, &space);
+    let session = open_lazy(&coord, ImageSource::Store(&store), id);
+    let rstats = session.attach(&coord, &space).unwrap();
     assert_eq!(rstats.regions_restored, 1);
     assert_eq!(
         space.with(|s| s.stats().absent_pages),
@@ -178,8 +185,8 @@ fn lazy_restore_over_tcp_retries_a_faulting_page_with_backoff() {
 
     let space = SharedSpace::new_no_aslr();
     let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-    let session = coord.open_lazy_restore_remote(&flaky, id).unwrap();
-    session.attach(&coord, &space);
+    let session = open_lazy(&coord, ImageSource::Peer(&flaky), id);
+    session.attach(&coord, &space).unwrap();
     std::thread::scope(|scope| {
         // Park a touch before the workers exist: its chunk is fetched via
         // the priority path, which hits the injected transient faults.
@@ -227,8 +234,8 @@ fn lazy_restore_latches_a_permanent_failure_instead_of_hanging() {
 
     let space = SharedSpace::new_no_aslr();
     let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-    let session = coord.open_lazy_restore(&store, id).unwrap();
-    session.attach(&coord, &space);
+    let session = open_lazy(&coord, ImageSource::Store(&store), id);
+    session.attach(&coord, &space).unwrap();
     let err = std::thread::scope(|scope| {
         session.spawn_workers(scope);
         session.drain().unwrap_err()
@@ -270,7 +277,7 @@ proptest! {
         let eager_space = SharedSpace::new_no_aslr();
         let eager_coord =
             Coordinator::new(eager_space.clone(), CoordinatorConfig::default());
-        eager_coord.restart_from_store(&store, id, &eager_space).unwrap();
+        restore_into(&eager_coord, ImageSource::Store(&store), id, &eager_space).unwrap();
         let eager_bytes = mapping_bytes(&eager_space, a);
 
         let (lazy_bytes, read, lazy) = lazy_restore_local(&store, id, a, &touches);

@@ -14,9 +14,9 @@ use crac_dmtcp::{CheckpointImage, SavedRegion};
 use crac_imagestore::net::{serve_on, ServerHandle, TcpTransport};
 use crac_imagestore::testutil::TempDir;
 use crac_imagestore::{
-    ChunkSource, Compression, ContentHash, FaultConfig, FaultyTransport, ImageId, ImageStore,
-    MaterialiseSink, RegionSource, RemoteChunkSink, RemoteChunkSource, StoreError, Transport,
-    WriteOptions,
+    ChunkSource, Compression, ContentHash, FaultConfig, FaultyTransport, ImageId, ImageSource,
+    ImageStore, MaterialiseSink, ObsRegistry, RegionSource, RemoteChunkSink, StoreError,
+    StreamReader, Transport, WriteOptions,
 };
 
 const SECRET: &[u8] = b"rendezvous-secret";
@@ -155,7 +155,7 @@ fn parallel_restore_rides_multiple_pooled_connections() {
     let (id, _) = store.write_image(&img, &WriteOptions::full()).unwrap();
 
     let tcp = TcpTransport::connect(server.local_addr(), SECRET).unwrap();
-    let mut source = RemoteChunkSource::open(&tcp, id).unwrap();
+    let mut source = StreamReader::open(ImageSource::Peer(&tcp), id, ObsRegistry::new()).unwrap();
     let mut sink = MaterialiseSink::default();
     source.stream_out(&mut sink).unwrap();
     let mut back = sink.into_image(source.taken_at_ns());
@@ -249,7 +249,7 @@ fn transient_faults_over_a_real_wire_are_absorbed_by_backoff_retry() {
             ..Default::default()
         },
     );
-    let mut source = RemoteChunkSource::open(&flaky, id).unwrap();
+    let mut source = StreamReader::open(ImageSource::Peer(&flaky), id, ObsRegistry::new()).unwrap();
     let mut sink = MaterialiseSink::default();
     source.stream_out(&mut sink).unwrap();
     let stats = source.stats();
@@ -318,7 +318,7 @@ fn error_classes_survive_the_real_wire() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
     std::fs::write(&victim, bytes).unwrap();
-    let mut source = RemoteChunkSource::open(&tcp, id).unwrap();
+    let mut source = StreamReader::open(ImageSource::Peer(&tcp), id, ObsRegistry::new()).unwrap();
     let mut sink = MaterialiseSink::default();
     let err = source.stream_out(&mut sink).unwrap_err();
     assert!(err.is_corruption(), "got: {err}");

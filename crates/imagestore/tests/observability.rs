@@ -7,9 +7,10 @@
 
 use crac_addrspace::{Half, MapRequest, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{Coordinator, CoordinatorConfig};
-use crac_imagestore::testutil::TempDir;
+use crac_imagestore::testutil::{restore_into, TempDir};
 use crac_imagestore::{
-    Compression, CoordinatorStoreExt, EventKind, ImageStore, LoopbackTransport, WriteOptions,
+    checkpoint_to, CkptTarget, Compression, EventKind, ImageSource, ImageStore, LoopbackTransport,
+    WriteOptions,
 };
 
 fn space_with_data(pages: u64) -> SharedSpace {
@@ -36,9 +37,9 @@ fn one_registry_observes_checkpoint_replicate_restore() {
     // down, so the writer's counters land in `reg`.
     let dir = TempDir::new("obs-flow-store");
     let store = ImageStore::open(dir.path()).unwrap();
-    let (id, _ckpt, write_stats) = coord
-        .checkpoint_to_store(&store, 1_000, &WriteOptions::full())
-        .unwrap();
+    let target = CkptTarget::Store(&store, WriteOptions::full());
+    let (id, _ckpt, landed) = checkpoint_to(&coord, target, None, |_| 1_000).unwrap();
+    let write_stats = landed.write;
     assert!(write_stats.chunks_written > 0);
 
     // Replicate to a peer store over the loopback transport.
@@ -50,12 +51,11 @@ fn one_registry_observes_checkpoint_replicate_restore() {
 
     // Restore — both locally and from the remote — into fresh spaces.
     let fresh = SharedSpace::new_no_aslr();
-    let (_rstats, read_stats) = coord.restart_from_store(&store, id, &fresh).unwrap();
+    let (_rstats, read_stats) =
+        restore_into(&coord, ImageSource::Store(&store), id, &fresh).unwrap();
     assert!(read_stats.chunks_read > 0);
     let fresh2 = SharedSpace::new_no_aslr();
-    coord
-        .restart_from_remote(&transport, remote_id, &fresh2)
-        .unwrap();
+    restore_into(&coord, ImageSource::Peer(&transport), remote_id, &fresh2).unwrap();
 
     // Every phase recorded into the ONE registry the coordinator owns.
     let snap = reg.snapshot();
@@ -122,12 +122,16 @@ fn checkpoint_to_remote_records_into_the_coordinator_registry() {
     let peer_dir = TempDir::new("obs-remote-peer");
     let peer = ImageStore::open(peer_dir.path()).unwrap();
     let transport = LoopbackTransport::new(&peer);
-    let (id, _ckpt, ship_stats) = coord
-        .checkpoint_to_remote(&transport, 2_000, Compression::None, None)
-        .unwrap();
+    let target = CkptTarget::Peer {
+        transport: &transport,
+        compression: Compression::None,
+        parent: None,
+    };
+    let (id, _ckpt, landed) = checkpoint_to(&coord, target, None, |_| 2_000).unwrap();
+    let ship_stats = landed.replicate;
 
     let fresh = SharedSpace::new_no_aslr();
-    coord.restart_from_remote(&transport, id, &fresh).unwrap();
+    restore_into(&coord, ImageSource::Peer(&transport), id, &fresh).unwrap();
 
     let snap = coord.obs().snapshot();
     assert_eq!(

@@ -6,7 +6,7 @@
 //! The mutator runs on its own thread and is stopped by the coordinator's
 //! quiesce (`pre_checkpoint`) exactly like a real application: once the
 //! final pass begins, memory is frozen, so the live content *after*
-//! `checkpoint_precopy` returns is the ground truth every restore is
+//! the pre-copy `checkpoint_to` returns is the ground truth every restore is
 //! checked against.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,8 +16,10 @@ use std::thread::JoinHandle;
 use crac_addrspace::{Addr, Half, MapRequest, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{Coordinator, CoordinatorConfig, DmtcpPlugin, PrecopyConfig};
 use crac_imagestore::net::{serve_on, TcpTransport};
-use crac_imagestore::testutil::TempDir;
-use crac_imagestore::{Compression, CoordinatorStoreExt, ImageStore, WriteOptions};
+use crac_imagestore::testutil::{restore_into, TempDir};
+use crac_imagestore::{
+    checkpoint_to, CkptTarget, Compression, ImageSource, ImageStore, Transport, WriteOptions,
+};
 use proptest::prelude::*;
 
 const SECRET: &[u8] = b"precopy-secret";
@@ -105,6 +107,15 @@ fn space_under_mutation(
     (space, a, coord, mutator)
 }
 
+/// The peer behind `transport` as a checkpoint target.
+fn to_peer(transport: &dyn Transport) -> CkptTarget<'_> {
+    CkptTarget::Peer {
+        transport,
+        compression: Compression::None,
+        parent: None,
+    }
+}
+
 /// Reads the whole mapped range of `space`.
 fn mapping_bytes(space: &SharedSpace, a: Addr) -> Vec<u8> {
     let mut buf = vec![0u8; (REGION_PAGES * PAGE_SIZE) as usize];
@@ -122,9 +133,10 @@ fn precopy_to_store_under_mutation_restores_the_quiesced_memory() {
         .collect();
     let (space, a, coord, mutator) = space_under_mutation(&initial, script);
 
-    let (id, pre, write) = coord
-        .checkpoint_to_store_precopy(&store, 7, &WriteOptions::full(), PrecopyConfig::default())
-        .unwrap();
+    let target = CkptTarget::Store(&store, WriteOptions::full());
+    let (id, pre, landed) =
+        checkpoint_to(&coord, target, Some(&PrecopyConfig::default()), |_| 7).unwrap();
+    let write = landed.write;
     let writes = mutator.join().unwrap();
     assert!(writes > 0, "the mutator must have raced the bulk copy");
     // Bulk round + any deltas + the final pass all made it to the store.
@@ -135,7 +147,7 @@ fn precopy_to_store_under_mutation_restores_the_quiesced_memory() {
     // Memory froze at the quiesce; the restored image must equal it.
     let live = mapping_bytes(&space, a);
     let fresh = SharedSpace::new_no_aslr();
-    coord.restart_from_store(&store, id, &fresh).unwrap();
+    restore_into(&coord, ImageSource::Store(&store), id, &fresh).unwrap();
     assert_eq!(live, mapping_bytes(&fresh, a));
 
     // The observability contract: stop window and per-round bytes are on
@@ -161,16 +173,21 @@ fn precopy_to_remote_over_tcp_under_mutation_restores_the_quiesced_memory() {
         .collect();
     let (space, a, coord, mutator) = space_under_mutation(&initial, script);
 
-    let (id, pre, replicate) = coord
-        .checkpoint_to_remote_precopy(&tcp, 3, Compression::None, None, PrecopyConfig::default())
-        .unwrap();
+    let (id, pre, landed) = checkpoint_to(
+        &coord,
+        to_peer(&tcp),
+        Some(&PrecopyConfig::default()),
+        |_| 3,
+    )
+    .unwrap();
+    let replicate = landed.replicate;
     mutator.join().unwrap();
     assert!(pre.round_bytes.len() >= 2);
     assert!(replicate.chunks_shipped > 0);
 
     let live = mapping_bytes(&space, a);
     let fresh = SharedSpace::new_no_aslr();
-    coord.restart_from_remote(&tcp, id, &fresh).unwrap();
+    restore_into(&coord, ImageSource::Peer(&tcp), id, &fresh).unwrap();
     assert_eq!(live, mapping_bytes(&fresh, a));
     server.shutdown();
 }
@@ -194,15 +211,8 @@ proptest! {
         let tcp = TcpTransport::connect(server.local_addr(), SECRET).unwrap();
         let (space, a, coord, mutator) = space_under_mutation(&initial, script);
 
-        let (id, _pre, _rep) = coord
-            .checkpoint_to_remote_precopy(
-                &tcp,
-                0,
-                Compression::None,
-                None,
-                PrecopyConfig { max_rounds: 3, convergence_pages: 4, max_run_gap: 1, adaptive_rounds: false },
-            )
-            .unwrap();
+        let cfg = PrecopyConfig { max_rounds: 3, convergence_pages: 4, max_run_gap: 1, adaptive_rounds: false };
+        let (id, _pre, _landed) = checkpoint_to(&coord, to_peer(&tcp), Some(&cfg), |_| 0).unwrap();
         mutator.join().unwrap();
 
         // Ground truth: a stop-the-world checkpoint of the now-static
@@ -212,7 +222,7 @@ proptest! {
         coord.restart_into(&stw_image, &stw_space);
 
         let pre_space = SharedSpace::new_no_aslr();
-        coord.restart_from_remote(&tcp, id, &pre_space).unwrap();
+        restore_into(&coord, ImageSource::Peer(&tcp), id, &pre_space).unwrap();
         server.shutdown();
 
         prop_assert_eq!(mapping_bytes(&pre_space, a), mapping_bytes(&stw_space, a));

@@ -269,3 +269,94 @@ fn store_survives_reopen() {
     assert_eq!(sstats.images, 2);
     assert!(sstats.chunks > 0);
 }
+
+/// A CRC proves a manifest is what its sender wrote, not that it is sane:
+/// a peer serving `get_manifest` computes its own CRC.  Region tables that
+/// are CRC-valid but inconsistent — an empty region, an unaligned one, one
+/// below the upper half, one wrapping the address space, two that overlap —
+/// must come back as corruption from every restore path (eager and lazy,
+/// local store and peer), never as a panic in `mmap`, never as one region
+/// silently clobbering another; and a refused restore leaves no fault
+/// handler installed and no worker parked (`restore` returning at all is
+/// the proof of the latter: it joins its workers first).
+#[test]
+fn crc_valid_but_inconsistent_region_tables_are_corruption_on_every_restore_path() {
+    use crac_addrspace::SharedSpace;
+    use crac_dmtcp::{Coordinator, CoordinatorConfig};
+    use crac_imagestore::format::Manifest;
+    use crac_imagestore::{
+        restore, FaultConfig, FaultyTransport, ImageSource, LoopbackTransport, ObsRegistry,
+        StoreError, StreamReader, Transport,
+    };
+
+    let region = |slot: u64| SavedRegion {
+        start: Addr(0x4000_0000_0000 + slot * 64 * PAGE_SIZE),
+        len: 32 * PAGE_SIZE,
+        prot: Prot::RW,
+        label: format!("hostile-{slot}"),
+        pages: (0..32)
+            .map(|i| (i, vec![(slot * 32 + i) as u8 + 1; PAGE_SIZE as usize]))
+            .collect(),
+    };
+    let mut img = CheckpointImage::default();
+    img.regions.extend([region(0), region(1)]);
+
+    type Defect = fn(&mut Manifest);
+    let defects: [(&str, Defect); 5] = [
+        ("zero-length region", |m| m.regions[1].len = 0),
+        ("unaligned start", |m| m.regions[1].start += 512),
+        ("start below the upper half", |m| {
+            m.regions[1].start = 0x1000_0000
+        }),
+        ("end wraps the address space", |m| {
+            m.regions[1].start = u64::MAX - PAGE_SIZE + 1
+        }),
+        ("overlapping regions", |m| {
+            m.regions[1].start = m.regions[0].start + 8 * PAGE_SIZE
+        }),
+    ];
+
+    for (name, defect) in defects {
+        let dir = TempDir::new("hostile-manifest");
+        let store = ImageStore::open(dir.path()).unwrap();
+        let (id, _) = store.write_image(&img, &WriteOptions::full()).unwrap();
+        // Plant the defect behind a fresh, valid CRC.
+        let path = dir.path().join(format!("images/{:016x}.crimg", id.0));
+        let mut manifest = Manifest::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        defect(&mut manifest);
+        std::fs::write(&path, manifest.to_bytes()).unwrap();
+
+        let loopback = LoopbackTransport::new(&store);
+        let peer = FaultyTransport::new(
+            &loopback,
+            FaultConfig {
+                seed: 7,
+                jitter: std::time::Duration::from_micros(200),
+                ..Default::default()
+            },
+        );
+        for source in [ImageSource::Store(&store), ImageSource::Peer(&peer)] {
+            for lazy in [false, true] {
+                let space = SharedSpace::new_no_aslr();
+                let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
+                let reader = StreamReader::open(source, id, ObsRegistry::new()).unwrap();
+                let result: Result<_, StoreError> =
+                    restore(reader, lazy, |install| install(&coord, &space));
+                let err = result
+                    .err()
+                    .unwrap_or_else(|| panic!("{name} (lazy={lazy}): a hostile manifest restored"));
+                assert!(err.is_corruption(), "{name} (lazy={lazy}): got {err}");
+                assert!(!space.has_fault_handler(), "{name} (lazy={lazy})");
+                assert_eq!(
+                    space.with(|s| s.regions().count()),
+                    0,
+                    "{name} (lazy={lazy}): refused before anything was mapped"
+                );
+            }
+        }
+        // A peer refuses to publish such a manifest in the first place.
+        let planted = std::fs::read(&path).unwrap();
+        let err = loopback.put_manifest(&planted, None).unwrap_err();
+        assert!(err.is_corruption(), "{name}: adoption got {err}");
+    }
+}

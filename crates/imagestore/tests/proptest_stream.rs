@@ -17,10 +17,10 @@ use std::collections::BTreeSet;
 
 use crac_addrspace::{Addr, Prot, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{CheckpointImage, Coordinator, CoordinatorConfig, SavedRegion};
-use crac_imagestore::testutil::TempDir;
+use crac_imagestore::testutil::{restore_into, TempDir};
 use crac_imagestore::{
-    restore_buffer_bound, ChunkSource, Compression, CoordinatorStoreExt, ImageStore,
-    MaterialiseSink, RegionSource, StreamWriter, WriteOptions,
+    restore_buffer_bound, ChunkSource, Compression, ImageSource, ImageStore, MaterialiseSink,
+    RegionSource, StreamWriter, WriteOptions,
 };
 use proptest::prelude::*;
 
@@ -223,9 +223,8 @@ proptest! {
 
         // Streaming: verified chunks land in the space as they arrive.
         let space_str = SharedSpace::new_no_aslr();
-        let (restart_str, stats_str) = coord
-            .restart_from_store(&store, id, &space_str)
-            .unwrap();
+        let (restart_str, stats_str) =
+            restore_into(&coord, ImageSource::Store(&store), id, &space_str).unwrap();
 
         prop_assert_eq!(&image_mat, &img);
         prop_assert_eq!(restart_str, restart_mat);

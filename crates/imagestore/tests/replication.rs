@@ -12,9 +12,9 @@ use crac_dmtcp::{CheckpointImage, SavedRegion};
 use crac_imagestore::format::ChunkFile;
 use crac_imagestore::testutil::TempDir;
 use crac_imagestore::{
-    ChunkSource, FaultConfig, FaultyTransport, ImageStore, LoopbackTransport, MaterialiseSink,
-    RegionSource, RemoteChunkSink, RemoteChunkSource, StoreError, WriteOptions,
-    MAX_TRANSIENT_RETRIES,
+    ChunkSource, FaultConfig, FaultyTransport, ImageSource, ImageStore, LoopbackTransport,
+    MaterialiseSink, ObsRegistry, RegionSource, RemoteChunkSink, StoreError, StreamReader,
+    WriteOptions, MAX_TRANSIENT_RETRIES,
 };
 
 /// An image of `chunks` distinct 16-page chunks (one contiguous region),
@@ -171,7 +171,8 @@ fn remote_source_restores_through_the_shared_pipeline() {
     let (id, _) = dst.write_image(&img, &WriteOptions::full()).unwrap();
 
     let transport = LoopbackTransport::new(&dst);
-    let mut source = RemoteChunkSource::open(&transport, id).unwrap();
+    let mut source =
+        StreamReader::open(ImageSource::Peer(&transport), id, ObsRegistry::new()).unwrap();
     assert_eq!(source.taken_at_ns(), img.taken_at_ns);
     assert_eq!(source.region_count(), 1);
     assert_eq!(source.payload("crac"), Some(&[5u8; 128][..]));
@@ -221,7 +222,8 @@ fn transient_faults_are_absorbed_by_bounded_retry() {
             ..Default::default()
         },
     );
-    let mut source = RemoteChunkSource::open(&flaky_get, remote_id).unwrap();
+    let mut source =
+        StreamReader::open(ImageSource::Peer(&flaky_get), remote_id, ObsRegistry::new()).unwrap();
     let mut sink = MaterialiseSink::default();
     source.stream_out(&mut sink).unwrap();
     let stats = source.stats();
@@ -248,7 +250,7 @@ fn retry_exhaustion_fails_transiently_not_as_corruption() {
             ..Default::default()
         },
     );
-    let mut source = RemoteChunkSource::open(&dead, id).unwrap();
+    let mut source = StreamReader::open(ImageSource::Peer(&dead), id, ObsRegistry::new()).unwrap();
     let mut sink = MaterialiseSink::default();
     let err = source.stream_out(&mut sink).unwrap_err();
     assert!(err.is_transient(), "got: {err}");
@@ -276,7 +278,8 @@ fn corruption_fails_fast_without_retries() {
     std::fs::write(&victim, bytes).unwrap();
 
     let transport = LoopbackTransport::new(&dst);
-    let mut source = RemoteChunkSource::open(&transport, id).unwrap();
+    let mut source =
+        StreamReader::open(ImageSource::Peer(&transport), id, ObsRegistry::new()).unwrap();
     let mut sink = MaterialiseSink::default();
     let err = source.stream_out(&mut sink).unwrap_err();
     assert!(err.is_corruption(), "got: {err}");
@@ -464,7 +467,8 @@ fn latency_jitter_reorders_completions_without_corrupting_the_restore() {
             ..Default::default()
         },
     );
-    let mut source = RemoteChunkSource::open(&jittery, id).unwrap();
+    let mut source =
+        StreamReader::open(ImageSource::Peer(&jittery), id, ObsRegistry::new()).unwrap();
     let mut sink = MaterialiseSink::default();
     source.stream_out(&mut sink).unwrap();
     let mut back = sink.into_image(source.taken_at_ns());
