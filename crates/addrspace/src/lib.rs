@@ -23,6 +23,33 @@
 //! consume host memory, so multi-gigabyte simulated allocations (e.g. the
 //! HYPRE workload's 2.3 GB footprint) remain cheap while logical sizes — and
 //! therefore checkpoint-image sizes — stay faithful.
+//!
+//! # One page table
+//!
+//! Residency, dirtiness and sharing are one per-page state.  Each region's
+//! [`PageStore`] holds one ordered map of [`Slot`]s: a page with **no slot**
+//! is *Zero*; [`Slot::Absent`] is mapped but not paged in yet (lazy
+//! restore); [`Slot::Resident`] carries the bytes and the write epoch of the
+//! last mutation, and is *Shared* exactly while a snapshot
+//! ([`Page::share`]) still holds its `Arc`.  The only transitions:
+//!
+//! | operation | Zero | Resident | Absent |
+//! |---|---|---|---|
+//! | `read` | zeros | its bytes | [`MemError::NotResident`] |
+//! | `write`, `fill` | → Resident, stamped | stamped; copied first if Shared | `NotResident`, stays Absent |
+//! | `sparse_copy` source | nothing moves | its bytes, written once into the destination (which owns them) | `NotResident` |
+//! | `install_resident` | → Resident | → Resident (replaced) | → Resident |
+//! | `declare_absent` | → Absent | → Absent (bytes dropped) | stays Absent |
+//! | `mprotect` / partial `munmap` split, `consolidate_upper_half` | slots move whole, once: bytes, epoch and absence survive | ← | ← |
+//! | `munmap`, `MAP_FIXED` over it | — | dropped | dropped |
+//! | a checkpoint's capture | not emitted (zeros if bridged) | shared, zero-copy | paged in first, or the checkpoint fails — never zeros |
+//!
+//! Every accessor validates the whole range first (a hole or protection
+//! violation anywhere wins over an absent page) and mutates only then, so a
+//! refused access changes nothing.  Through a [`SharedSpace`],
+//! `NotResident` is not an error but a *fault*: the installed
+//! [`PageFaultHandler`] pages the content in with no space lock held and the
+//! access retries.
 
 pub mod addr;
 pub mod maps;
@@ -33,6 +60,6 @@ pub mod space;
 pub use addr::{page_align_down, page_align_up, Addr, Prot, PAGE_SIZE};
 pub use maps::MapsEntry;
 pub use region::PageStore;
-pub use region::{page_runs, page_runs_coalesced, Half, Page, PageRun, Region, RegionId};
+pub use region::{page_runs, Half, Page, PageRun, Region, RegionId, Slot};
 pub use shared::{PageFaultHandler, SharedSpace};
 pub use space::{AddressSpace, MapRequest, MemError, SpaceStats};

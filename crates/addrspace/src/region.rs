@@ -1,10 +1,13 @@
-//! Memory regions with sparse page-granular backing storage.
+//! Memory regions and their page tables: [`Slot`] is the one per-page state
+//! (the crate docs tabulate its transitions), [`PageStore`] the map of them.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::addr::{Addr, Prot, PAGE_SIZE};
+use crate::space::MemError;
 
 /// Which half of the split process a region belongs to.
 ///
@@ -69,26 +72,34 @@ impl Page {
     }
 }
 
-/// Sparse page store: only pages that have been written are materialised.
+/// What is behind one page of a mapping.  A page with no slot is *Zero*
+/// (never written: reads as zeros, costs nothing); the crate docs have the
+/// transition table.
+#[derive(Clone, Debug)]
+pub enum Slot {
+    /// Mapped, bytes exist in a checkpoint image but have not been paged in.
+    Absent,
+    /// Materialised content.  *Shared* with a snapshot exactly while the
+    /// page's `Arc` has more than one owner.
+    Resident(Page),
+}
+
+/// The page table of one region: one ordered map of [`Slot`]s keyed by page
+/// index relative to the region start, so only pages that were written (or
+/// await lazy population) cost anything — logical sizes can be multiple
+/// gigabytes (the HYPRE workload maps ~2.3 GB of UVM).
 ///
-/// Logical sizes can be multiple gigabytes (the HYPRE workload maps ~2.3 GB of
-/// UVM), but tests and benchmarks only touch a small fraction of those pages,
-/// so storage is a `BTreeMap` keyed by page index relative to the region
-/// start.
-///
-/// Every mutation stamps the touched pages with the store's current *write
-/// epoch* ([`PageStore::set_write_epoch`], advanced space-wide by
-/// `AddressSpace::snapshot_epoch`), so a checkpointer can ask for exactly the
-/// pages dirtied since a snapshot point ([`PageStore::pages_since`]).
+/// Mutations take the *write epoch* to stamp touched pages with (the
+/// space-wide counter advanced by `AddressSpace::snapshot_epoch`), so a
+/// checkpointer can ask for exactly the pages dirtied since a snapshot
+/// point ([`PageStore::pages_since`]).  Byte-range access goes through the
+/// owning [`Region`], which knows the addresses errors are reported at.
 #[derive(Clone, Default)]
 pub struct PageStore {
-    pages: BTreeMap<u64, Page>,
-    epoch: u64,
-    /// Pages declared *absent*: mapped and accounted for, but whose bytes
-    /// have not been populated yet (lazy restore).  A first touch of an
-    /// absent page must fault it in; the privileged install path
-    /// (`AddressSpace::install_resident`) clears entries as content lands.
-    absent: std::collections::BTreeSet<u64>,
+    slots: BTreeMap<u64, Slot>,
+    /// How many slots are [`Slot::Absent`], so the common no-lazy-restore
+    /// case skips residency checks in O(1).
+    absent: u64,
 }
 
 /// One allocation per page: `Arc::from(&[u8])` sizes the `Arc` block and
@@ -98,201 +109,125 @@ fn zero_page() -> Arc<[u8]> {
     Arc::from(&[0u8; PAGE_SIZE as usize][..])
 }
 
+/// Splits the byte range `[off, off+len)` at page boundaries into
+/// `(page index, offset in page, bytes, bytes before this piece)`.
+fn pieces(off: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
+    let mut done = 0usize;
+    std::iter::from_fn(move || {
+        let cur = off + done as u64;
+        let at = (cur % PAGE_SIZE) as usize;
+        let n = (PAGE_SIZE as usize - at).min(len - done);
+        (n > 0).then(|| {
+            done += n;
+            (cur / PAGE_SIZE, at, n, done - n)
+        })
+    })
+}
+
 impl PageStore {
     /// Creates an empty (all-zero) store.
     pub fn new() -> Self {
-        Self {
-            pages: BTreeMap::new(),
-            epoch: 0,
-            absent: std::collections::BTreeSet::new(),
-        }
+        Self::default()
     }
 
-    /// Number of materialised (dirty) pages.
+    /// Number of materialised (resident) pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// The epoch new mutations are stamped with.
-    pub fn write_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Advances the stamping epoch.  Epochs only move forward; a lower value
-    /// is ignored so adopted/merged stores can't roll a space backwards.
-    pub fn set_write_epoch(&mut self, epoch: u64) {
-        self.epoch = self.epoch.max(epoch);
-    }
-
-    /// Mutable access to a page's bytes, materialising and copy-on-writing
-    /// as needed, and stamping it with the current write epoch.
-    fn page_mut(&mut self, page: u64) -> &mut [u8] {
-        let p = self.pages.entry(page).or_insert_with(|| Page {
-            epoch: self.epoch,
-            bytes: zero_page(),
-        });
-        p.epoch = self.epoch;
-        if Arc::get_mut(&mut p.bytes).is_none() {
-            // Shared with an outstanding snapshot: copy before writing.
-            p.bytes = Arc::from(&p.bytes[..]);
-        }
-        // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-        Arc::get_mut(&mut p.bytes).expect("freshly copied page is unshared")
-    }
-
-    /// Reads `buf.len()` bytes starting at byte offset `off`.
-    /// Unmaterialised pages read as zero.
-    pub fn read(&self, off: u64, buf: &mut [u8]) {
-        let mut done = 0usize;
-        while done < buf.len() {
-            let cur = off + done as u64;
-            let page = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - in_page).min(buf.len() - done);
-            match self.pages.get(&page) {
-                Some(p) => buf[done..done + n].copy_from_slice(&p.bytes[in_page..in_page + n]),
-                None => buf[done..done + n].fill(0),
-            }
-            done += n;
-        }
-    }
-
-    /// Writes `data` starting at byte offset `off`, materialising pages as
-    /// needed.
-    pub fn write(&mut self, off: u64, data: &[u8]) {
-        let mut done = 0usize;
-        while done < data.len() {
-            let cur = off + done as u64;
-            let page = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - in_page).min(data.len() - done);
-            let p = self.page_mut(page);
-            p[in_page..in_page + n].copy_from_slice(&data[done..done + n]);
-            done += n;
-        }
-    }
-
-    /// Fills `len` bytes starting at `off` with `byte`.
-    pub fn fill(&mut self, off: u64, len: u64, byte: u8) {
-        // Chunked so that huge fills do not allocate a huge temporary.
-        let chunk = vec![byte; PAGE_SIZE as usize];
-        let mut done = 0u64;
-        while done < len {
-            let n = (len - done).min(PAGE_SIZE) as usize;
-            self.write(off + done, &chunk[..n]);
-            done += n as u64;
-        }
-    }
-
-    /// Iterates over the materialised pages as `(page_index, bytes)` pairs.
-    pub fn dirty_pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.pages.iter().map(|(k, v)| (*k, v.bytes()))
-    }
-
-    /// Iterates over the materialised pages stamped at or after `epoch` —
-    /// i.e. dirtied since the `snapshot_epoch` call that returned `epoch`.
-    pub fn pages_since(&self, epoch: u64) -> impl Iterator<Item = (u64, &Page)> {
-        self.pages
-            .iter()
-            .filter(move |(_, p)| p.epoch >= epoch)
-            .map(|(k, v)| (*k, v))
-    }
-
-    /// The materialised page at `page`, if any.
-    pub fn page(&self, page: u64) -> Option<&Page> {
-        self.pages.get(&page)
-    }
-
-    /// Installs a page's content wholesale (used when restoring from a
-    /// checkpoint image).
-    pub fn install_page(&mut self, page: u64, bytes: &[u8]) {
-        assert_eq!(bytes.len(), PAGE_SIZE as usize, "page must be PAGE_SIZE");
-        self.pages.insert(
-            page,
-            Page {
-                epoch: self.epoch,
-                bytes: Arc::from(bytes),
-            },
-        );
-    }
-
-    /// Discards pages at or beyond `first_page` (used when a region is split
-    /// or truncated).
-    pub fn truncate_pages(&mut self, first_page: u64) -> BTreeMap<u64, Page> {
-        self.pages.split_off(&first_page)
-    }
-
-    /// Inserts pre-existing pages, with their keys shifted by `shift` pages
-    /// (negative shifts move pages toward lower indices; used when a region is
-    /// split or merged).  Page epochs are preserved, so dirty-since queries
-    /// survive region splits and merges.
-    pub fn adopt_pages(&mut self, pages: BTreeMap<u64, Page>, shift: i64) {
-        for (k, v) in pages {
-            let new_key = (k as i64 + shift) as u64;
-            self.epoch = self.epoch.max(v.epoch);
-            self.pages.insert(new_key, v);
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Residency (lazy restore)
-    // -----------------------------------------------------------------
-
-    /// Declares `count` pages starting at `first` absent: their bytes are
-    /// known to exist (in a checkpoint image) but have not been populated.
-    /// Until installed or marked resident they must not be read or written
-    /// through the normal access paths.
-    pub fn declare_absent(&mut self, first: u64, count: u64) {
-        for page in first..first + count {
-            self.absent.insert(page);
-        }
-    }
-
-    /// `true` if the store tracks any absent pages (fast path guard).
-    pub fn has_absent(&self) -> bool {
-        !self.absent.is_empty()
+        self.slots.len() - self.absent as usize
     }
 
     /// Number of pages currently declared absent.
     pub fn absent_pages(&self) -> u64 {
-        self.absent.len() as u64
+        self.absent
     }
 
-    /// `true` if `page` is declared absent.
-    pub fn is_absent(&self, page: u64) -> bool {
-        self.absent.contains(&page)
-    }
-
-    /// The first absent page index in `[first, first+count)`, if any.
-    pub fn first_absent_in(&self, first: u64, count: u64) -> Option<u64> {
-        self.absent.range(first..first + count).next().copied()
-    }
-
-    /// Clears the absent mark on `page` (its bytes have been installed, or
-    /// the caller decided it resolves to zero).  Returns whether the page
-    /// was absent.
-    pub fn mark_resident(&mut self, page: u64) -> bool {
-        self.absent.remove(&page)
-    }
-
-    /// Splits off the absent marks at or beyond `first_page` (the residency
-    /// counterpart of [`PageStore::truncate_pages`]).
-    pub fn split_absent(&mut self, first_page: u64) -> std::collections::BTreeSet<u64> {
-        self.absent.split_off(&first_page)
-    }
-
-    /// Adopts absent marks with their indices shifted by `shift` pages (the
-    /// residency counterpart of [`PageStore::adopt_pages`]).
-    pub fn adopt_absent(&mut self, absent: std::collections::BTreeSet<u64>, shift: i64) {
-        for page in absent {
-            self.absent.insert((page as i64 + shift) as u64);
+    /// Mutable access to a page's bytes for a write at `epoch`:
+    /// Zero/Resident → Resident, stamped, copied first if shared.  `None`
+    /// for an absent page, which stays absent.
+    fn page_mut(&mut self, page: u64, epoch: u64) -> Option<&mut [u8]> {
+        let slot = self.slots.entry(page).or_insert_with(|| {
+            Slot::Resident(Page {
+                epoch,
+                bytes: zero_page(),
+            })
+        });
+        match slot {
+            Slot::Absent => None,
+            Slot::Resident(p) => {
+                p.epoch = epoch;
+                Some(Arc::make_mut(&mut p.bytes))
+            }
         }
+    }
+
+    /// Makes `page` resident with exactly `bytes` (any state → Resident):
+    /// content restored from a checkpoint image.
+    pub fn install(&mut self, page: u64, bytes: Arc<[u8]>, epoch: u64) {
+        assert_eq!(bytes.len(), PAGE_SIZE as usize, "page must be PAGE_SIZE");
+        let slot = Slot::Resident(Page { epoch, bytes });
+        if let Some(Slot::Absent) = self.slots.insert(page, slot) {
+            self.absent -= 1;
+        }
+    }
+
+    /// Declares `pages` absent (any state → Absent; a resident page's bytes
+    /// are dropped): their content exists in a checkpoint image but has not
+    /// been populated.  Until installed they cannot be read or written.
+    pub fn declare_absent(&mut self, pages: Range<u64>) {
+        for page in pages {
+            if !matches!(self.slots.insert(page, Slot::Absent), Some(Slot::Absent)) {
+                self.absent += 1;
+            }
+        }
+    }
+
+    /// The first absent page index in `pages`, if any.
+    pub fn absent_in(&self, pages: Range<u64>) -> Option<u64> {
+        if self.absent == 0 {
+            return None;
+        }
+        self.slots(pages)
+            .find_map(|(page, slot)| matches!(slot, Slot::Absent).then_some(page))
+    }
+
+    /// The slots of `pages`, in page order.
+    pub fn slots(&self, pages: Range<u64>) -> impl Iterator<Item = (u64, &Slot)> {
+        self.slots.range(pages).map(|(k, v)| (*k, v))
+    }
+
+    /// Iterates over the resident pages stamped at or after `epoch` — i.e.
+    /// dirtied since the `snapshot_epoch` call that returned `epoch`.
+    pub fn pages_since(&self, epoch: u64) -> impl Iterator<Item = (u64, &Page)> {
+        self.slots.iter().filter_map(move |(k, slot)| match slot {
+            Slot::Resident(p) if p.epoch >= epoch => Some((*k, p)),
+            _ => None,
+        })
+    }
+
+    /// Splits off the slots at or beyond `first_page` into a store of their
+    /// own, re-keyed from zero (a region is split or truncated).  Slots move
+    /// whole: content, epoch stamps and absence all survive.
+    pub fn split_off(&mut self, first_page: u64) -> PageStore {
+        let tail = self.slots.split_off(&first_page);
+        let absent = tail.values().filter(|s| matches!(s, Slot::Absent)).count() as u64;
+        self.absent -= absent;
+        PageStore {
+            slots: tail.into_iter().map(|(k, v)| (k - first_page, v)).collect(),
+            absent,
+        }
+    }
+
+    /// Adopts every slot of `other`, re-keyed `shift` pages up (two regions
+    /// merge).  The counterpart of [`PageStore::split_off`].
+    pub fn append(&mut self, other: PageStore, shift: u64) {
+        self.absent += other.absent;
+        self.slots
+            .extend(other.slots.into_iter().map(|(k, v)| (k + shift, v)));
     }
 }
 
 impl fmt::Debug for PageStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PageStore({} resident pages)", self.pages.len())
+        write!(f, "PageStore({} resident pages)", self.resident_pages())
     }
 }
 
@@ -319,35 +254,20 @@ impl PageRun {
 /// sorted dirty-page lists both guarantee); out-of-order input panics in
 /// debug builds and starts a fresh run in release builds.
 pub fn page_runs(indices: impl IntoIterator<Item = u64>) -> Vec<PageRun> {
-    page_runs_coalesced(indices, 0)
-}
-
-/// Like [`page_runs`], but bridges gaps of at most `max_gap` clean pages
-/// between dirty runs, producing fewer, longer runs.
-///
-/// Bridged pages are *clean* — a consumer that emits run contents must be
-/// willing to re-emit their unchanged bytes.  For fragmented dirty sets this
-/// trades a little redundant page copying for far less per-run framing and
-/// hashing overhead downstream.  `max_gap == 0` degenerates to exact runs.
-pub fn page_runs_coalesced(indices: impl IntoIterator<Item = u64>, max_gap: u64) -> Vec<PageRun> {
     let mut runs: Vec<PageRun> = Vec::new();
     for idx in indices {
         match runs.last_mut() {
-            Some(run) if idx < run.first + run.count => {
-                debug_assert!(false, "page indices must be increasing");
+            Some(run) if idx == run.first + run.count => run.count += 1,
+            last => {
+                debug_assert!(
+                    last.is_none_or(|run| idx > run.first + run.count),
+                    "page indices must be increasing"
+                );
                 runs.push(PageRun {
                     first: idx,
                     count: 1,
                 });
             }
-            Some(run) if idx - (run.first + run.count) <= max_gap => {
-                // Extends the run, bridging any clean pages in between.
-                run.count = idx - run.first + 1;
-            }
-            _ => runs.push(PageRun {
-                first: idx,
-                count: 1,
-            }),
         }
     }
     runs
@@ -397,6 +317,12 @@ impl Region {
         self.len / PAGE_SIZE
     }
 
+    /// The region-relative indices of the pages `[addr, addr+len)` touches.
+    #[inline]
+    pub fn pages(&self, addr: Addr, len: u64) -> Range<u64> {
+        (addr - self.start) / PAGE_SIZE..(addr + len - self.start).div_ceil(PAGE_SIZE)
+    }
+
     /// Number of pages that have actually been written.
     #[inline]
     pub fn resident_pages(&self) -> usize {
@@ -409,20 +335,52 @@ impl Region {
         self.store.absent_pages()
     }
 
-    /// Reads bytes from the region. `addr` must lie inside the region and the
-    /// read must not run past its end (callers check this; the address-space
-    /// API enforces it).
-    pub fn read(&self, addr: Addr, buf: &mut [u8]) {
+    /// Reads bytes from the region (zero pages read as zero). `addr` must
+    /// lie inside the region and the read must not run past its end (callers
+    /// check this; the address-space API enforces it).  An absent page
+    /// refuses the access with [`MemError::NotResident`].
+    pub fn read(&self, addr: Addr, buf: &mut [u8]) -> Result<(), MemError> {
         debug_assert!(self.contains(addr));
         debug_assert!(addr + buf.len() as u64 <= self.end());
-        self.store.read(addr - self.start, buf);
+        for (page, at, n, done) in pieces(addr - self.start, buf.len()) {
+            match self.store.slots.get(&page) {
+                Some(Slot::Resident(p)) => {
+                    buf[done..done + n].copy_from_slice(&p.bytes[at..at + n])
+                }
+                Some(Slot::Absent) => return Err(self.not_resident(page)),
+                None => buf[done..done + n].fill(0),
+            }
+        }
+        Ok(())
     }
 
-    /// Writes bytes into the region.
-    pub fn write(&mut self, addr: Addr, data: &[u8]) {
+    /// Writes bytes into the region, materialising pages as needed and
+    /// stamping touched pages with `epoch`.
+    pub fn write(&mut self, addr: Addr, data: &[u8], epoch: u64) -> Result<(), MemError> {
         debug_assert!(self.contains(addr));
         debug_assert!(addr + data.len() as u64 <= self.end());
-        self.store.write(addr - self.start, data);
+        for (page, at, n, done) in pieces(addr - self.start, data.len()) {
+            let absent = self.not_resident(page);
+            let bytes = self.store.page_mut(page, epoch).ok_or(absent)?;
+            bytes[at..at + n].copy_from_slice(&data[done..done + n]);
+        }
+        Ok(())
+    }
+
+    /// Fills `[addr, addr+len)` with `byte`, stamping touched pages with
+    /// `epoch`.
+    pub fn fill(&mut self, addr: Addr, len: u64, byte: u8, epoch: u64) -> Result<(), MemError> {
+        debug_assert!(self.contains(addr) && addr + len <= self.end());
+        for (page, at, n, _) in pieces(addr - self.start, len as usize) {
+            let absent = self.not_resident(page);
+            self.store.page_mut(page, epoch).ok_or(absent)?[at..at + n].fill(byte);
+        }
+        Ok(())
+    }
+
+    /// The error for a touch of this region's absent page `page`.
+    fn not_resident(&self, page: u64) -> MemError {
+        MemError::NotResident(self.start + page * PAGE_SIZE)
     }
 }
 
@@ -442,36 +400,42 @@ mod tests {
         }
     }
 
+    /// A region big enough for the store-level tests, based at zero so
+    /// addresses are store offsets.
+    fn flat() -> Region {
+        region(0, 64 * PAGE_SIZE)
+    }
+
     #[test]
     fn page_store_reads_zero_when_unwritten() {
-        let store = PageStore::new();
+        let r = flat();
         let mut buf = [0xffu8; 64];
-        store.read(10_000, &mut buf);
+        r.read(Addr(10_000), &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0));
-        assert_eq!(store.resident_pages(), 0);
+        assert_eq!(r.resident_pages(), 0);
     }
 
     #[test]
     fn page_store_write_read_round_trip_across_page_boundary() {
-        let mut store = PageStore::new();
+        let mut r = flat();
         let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        store.write(PAGE_SIZE - 100, &data);
+        r.write(Addr(PAGE_SIZE - 100), &data, 0).unwrap();
         let mut out = vec![0u8; data.len()];
-        store.read(PAGE_SIZE - 100, &mut out);
+        r.read(Addr(PAGE_SIZE - 100), &mut out).unwrap();
         assert_eq!(out, data);
         // 10_000 bytes starting 100 bytes before a boundary touch 4 pages.
-        assert_eq!(store.resident_pages(), 4);
+        assert_eq!(r.resident_pages(), 4);
     }
 
     #[test]
     fn page_store_fill_is_visible() {
-        let mut store = PageStore::new();
-        store.fill(5, 3 * PAGE_SIZE, 0xab);
+        let mut r = flat();
+        r.fill(Addr(5), 3 * PAGE_SIZE, 0xab, 0).unwrap();
         let mut buf = [0u8; 16];
-        store.read(PAGE_SIZE, &mut buf);
+        r.read(Addr(PAGE_SIZE), &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0xab));
         let mut head = [1u8; 5];
-        store.read(0, &mut head);
+        r.read(Addr(0), &mut head).unwrap();
         assert!(head.iter().all(|&b| b == 0));
     }
 
@@ -489,79 +453,87 @@ mod tests {
     #[test]
     fn region_read_write_round_trip() {
         let mut r = region(0x20_000, 2 * PAGE_SIZE);
-        r.write(Addr(0x20_010), b"hello CRAC");
+        r.write(Addr(0x20_010), b"hello CRAC", 0).unwrap();
         let mut buf = [0u8; 10];
-        r.read(Addr(0x20_010), &mut buf);
+        r.read(Addr(0x20_010), &mut buf).unwrap();
         assert_eq!(&buf, b"hello CRAC");
         assert_eq!(r.resident_pages(), 1);
     }
 
     #[test]
-    fn truncate_and_adopt_pages_preserve_content() {
-        let mut store = PageStore::new();
-        store.write(0, &[1u8; PAGE_SIZE as usize]);
-        store.write(PAGE_SIZE * 3, &[3u8; PAGE_SIZE as usize]);
-        let tail = store.truncate_pages(2);
-        assert_eq!(store.resident_pages(), 1);
-        let mut other = PageStore::new();
-        other.adopt_pages(tail, -2);
+    fn split_off_and_append_preserve_content() {
+        let mut r = flat();
+        r.write(Addr(0), &[1u8; PAGE_SIZE as usize], 0).unwrap();
+        r.write(Addr(PAGE_SIZE * 3), &[3u8; PAGE_SIZE as usize], 0)
+            .unwrap();
+        let mut tail = flat();
+        tail.store = r.store.split_off(2);
+        assert_eq!(r.resident_pages(), 1);
         let mut buf = [0u8; 4];
-        other.read(PAGE_SIZE, &mut buf);
+        tail.read(Addr(PAGE_SIZE), &mut buf).unwrap();
+        assert_eq!(buf, [3u8; 4]);
+        r.store.append(tail.store, 5);
+        r.read(Addr(PAGE_SIZE * 6), &mut buf).unwrap();
         assert_eq!(buf, [3u8; 4]);
     }
 
     #[test]
     fn shared_snapshot_survives_later_writes() {
-        let mut store = PageStore::new();
-        store.write(0, &[7u8; PAGE_SIZE as usize]);
-        let snap = store.page(0).unwrap().share();
-        store.write(16, &[9u8; 8]);
+        let mut r = flat();
+        r.write(Addr(0), &[7u8; PAGE_SIZE as usize], 0).unwrap();
+        let snap = r.store.pages_since(0).next().unwrap().1.share();
+        r.write(Addr(16), &[9u8; 8], 0).unwrap();
         // Snapshot still sees the pre-write content; store sees the new.
         assert!(snap.iter().all(|&b| b == 7));
         let mut now = [0u8; 8];
-        store.read(16, &mut now);
+        r.read(Addr(16), &mut now).unwrap();
         assert_eq!(now, [9u8; 8]);
     }
 
     #[test]
     fn pages_since_tracks_write_epochs() {
-        let mut store = PageStore::new();
-        store.write(0, &[1u8; 4]);
-        store.write(PAGE_SIZE * 5, &[5u8; 4]);
-        store.set_write_epoch(1);
-        store.write(PAGE_SIZE * 5, &[6u8; 4]);
-        store.write(PAGE_SIZE * 9, &[9u8; 4]);
-        let dirty: Vec<u64> = store.pages_since(1).map(|(k, _)| k).collect();
+        let mut r = flat();
+        r.write(Addr(0), &[1u8; 4], 0).unwrap();
+        r.write(Addr(PAGE_SIZE * 5), &[5u8; 4], 0).unwrap();
+        r.write(Addr(PAGE_SIZE * 5), &[6u8; 4], 1).unwrap();
+        r.write(Addr(PAGE_SIZE * 9), &[9u8; 4], 1).unwrap();
+        let dirty: Vec<u64> = r.store.pages_since(1).map(|(k, _)| k).collect();
         assert_eq!(dirty, vec![5, 9]);
-        // Epoch survives a split/adopt round trip.
-        let tail = store.truncate_pages(6);
-        let mut other = PageStore::new();
-        other.adopt_pages(tail, -6);
-        let dirty: Vec<u64> = other.pages_since(1).map(|(k, _)| k).collect();
+        // Epoch survives a split.
+        let tail = r.store.split_off(6);
+        let dirty: Vec<u64> = tail.pages_since(1).map(|(k, _)| k).collect();
         assert_eq!(dirty, vec![3]);
     }
 
     #[test]
-    fn coalesced_runs_bridge_small_gaps_only() {
-        let idx = [0, 1, 4, 5, 10, 20];
+    fn slot_transitions_keep_one_state_per_page() {
+        let mut r = flat();
+        r.write(Addr(0), &[1u8; 4], 0).unwrap();
+        // Resident → Absent drops the bytes; Zero → Absent; Absent → Absent.
+        r.store.declare_absent(0..3);
+        r.store.declare_absent(1..2);
+        assert_eq!((r.resident_pages(), r.absent_pages()), (0, 3));
+        // Absent refuses reads and writes, naming the page, and stays absent.
+        let at = |page: u64| Err(MemError::NotResident(Addr(page * PAGE_SIZE)));
+        assert_eq!(r.read(Addr(PAGE_SIZE - 1), &mut [0u8; 2]), at(0));
+        assert_eq!(r.write(Addr(PAGE_SIZE * 2 + 9), &[7], 1), at(2));
+        assert_eq!(r.fill(Addr(PAGE_SIZE), 1, 7, 1), at(1));
+        assert_eq!(r.store.absent_in(1..9), Some(1));
+        // Absent → Resident by install only; the count follows splits.
+        r.store.install(1, zero_page(), 1);
+        assert_eq!((r.resident_pages(), r.absent_pages()), (1, 2));
+        let tail = r.store.split_off(2);
+        assert_eq!((r.absent_pages(), tail.absent_pages()), (1, 1));
+        assert_eq!(tail.absent_in(0..1), Some(0));
+    }
+
+    #[test]
+    fn page_runs_are_exact_maximal_runs() {
+        let run = |first, count| PageRun { first, count };
         assert_eq!(
-            page_runs_coalesced(idx.iter().copied(), 2),
-            vec![
-                PageRun { first: 0, count: 6 },
-                PageRun {
-                    first: 10,
-                    count: 1
-                },
-                PageRun {
-                    first: 20,
-                    count: 1
-                },
-            ]
+            page_runs([0, 1, 4, 5, 10, 20]),
+            vec![run(0, 2), run(4, 2), run(10, 1), run(20, 1)]
         );
-        // Zero gap degenerates to exact maximal runs.
-        assert_eq!(
-            page_runs_coalesced(idx.iter().copied(), 0),
-            page_runs(idx.iter().copied())
-        );
+        assert_eq!(page_runs([]), vec![]);
     }
 }

@@ -5,12 +5,20 @@
 //! executor (kernels read and write buffers), and the checkpointer.  All of
 //! them hold a [`SharedSpace`], which is a cheap-to-clone handle around a
 //! `crac_sync::RwLock<AddressSpace>`.
+//!
+//! It is also where an absent page (see the crate docs' transition table)
+//! stops being an error: the convenience accessors turn
+//! [`MemError::NotResident`] into a call of the installed
+//! [`PageFaultHandler`] — no space lock held — and retry, and
+//! [`SharedSpace::page_in`] does the same for a checkpointer that must see
+//! the bytes without performing an access.
 
 use std::sync::Arc;
 
 use crac_sync::{Mutex, RwLock};
 
-use crate::addr::Addr;
+use crate::addr::{page_align_down, Addr, PAGE_SIZE};
+use crate::region::Slot;
 use crate::space::{AddressSpace, MapRequest, MemError};
 
 /// Resolves first touches of absent pages during a lazy restore.
@@ -159,6 +167,33 @@ impl SharedSpace {
     /// side — through the installed [`PageFaultHandler`], if any.
     pub fn sparse_copy(&self, dst: Addr, src: Addr, len: u64) -> Result<u64, MemError> {
         self.with_demand_paging(|| self.inner.write().sparse_copy(dst, src, len))
+    }
+
+    /// First-touches every absent page of `[addr, addr+len)` the way an
+    /// access would — through the installed [`PageFaultHandler`], with no
+    /// space lock held — but without being one: holes and protection bits
+    /// are ignored.  This is the checkpointer's touch, which must see the
+    /// bytes of a read-protected page too.  Fails with
+    /// [`MemError::NotResident`] (or the handler's error) at the first page
+    /// that cannot be paged in.
+    pub fn page_in(&self, addr: Addr, len: u64) -> Result<(), MemError> {
+        if self.inner.read().absent_pages() == 0 {
+            return Ok(());
+        }
+        let end = addr.as_u64().saturating_add(len);
+        // Pages below `from` are resident already; resume the scan there.
+        let mut from = Addr(page_align_down(addr.as_u64()));
+        self.with_demand_paging(|| {
+            let space = self.inner.read();
+            let mut slots = space.slots(from, end - from.as_u64());
+            match slots.find(|(_, slot)| matches!(slot, Slot::Absent)) {
+                Some((page, _)) => {
+                    from += page * PAGE_SIZE;
+                    Err(MemError::NotResident(from))
+                }
+                None => Ok(()),
+            }
+        })
     }
 
     /// Reads a little-endian `f32` slice starting at `addr`.

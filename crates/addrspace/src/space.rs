@@ -1,12 +1,17 @@
 //! The simulated address space: `mmap`, `munmap`, `mprotect`, ASLR and the
-//! upper/lower-half layout.
+//! upper/lower-half layout.  Every range accessor is one validation pass
+//! (`AddressSpace::check`) plus one walk over the range's region segments;
+//! what each does to a page's state is tabulated in the crate docs.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
-use crate::addr::{page_align_up, Addr, Prot, PAGE_SIZE};
+use crate::addr::{Addr, Prot, PAGE_SIZE};
 use crate::maps::MapsEntry;
-use crate::region::{Half, PageStore, Region, RegionId};
+use crate::region::{Half, PageStore, Region, RegionId, Slot};
 
 /// Base of the address range used for lower-half (helper / CUDA library)
 /// mappings.
@@ -162,9 +167,6 @@ impl AddressSpace {
     /// call — the dirty-tracking primitive behind pre-copy checkpointing.
     pub fn snapshot_epoch(&mut self) -> u64 {
         self.write_epoch += 1;
-        for region in self.regions.values_mut() {
-            region.store.set_write_epoch(self.write_epoch);
-        }
         self.write_epoch
     }
 
@@ -209,7 +211,12 @@ impl AddressSpace {
         if req.len == 0 {
             return Err(MemError::ZeroLength);
         }
-        let len = page_align_up(req.len);
+        // The length is the application's (a `cudaMalloc` size): rounding it
+        // up must not wrap into a tiny mapping.
+        let len = req
+            .len
+            .checked_next_multiple_of(PAGE_SIZE)
+            .ok_or(MemError::OutOfSpace)?;
         self.stats.mmap_calls += 1;
 
         let start = match req.fixed {
@@ -218,7 +225,8 @@ impl AddressSpace {
                     return Err(MemError::Unaligned);
                 }
                 let (lo, hi) = Self::half_range(req.half);
-                if addr.as_u64() < lo || addr.as_u64() + len > hi {
+                let fits = addr.checked_add(len).is_some_and(|end| end.as_u64() <= hi);
+                if addr.as_u64() < lo || !fits {
                     return Err(MemError::OutsideHalf);
                 }
                 // MAP_FIXED silently replaces whatever was there.
@@ -230,8 +238,6 @@ impl AddressSpace {
 
         let id = RegionId(self.next_id);
         self.next_id += 1;
-        let mut store = PageStore::new();
-        store.set_write_epoch(self.write_epoch);
         let region = Region {
             id,
             start,
@@ -239,22 +245,30 @@ impl AddressSpace {
             prot: req.prot,
             half: req.half,
             label: req.label,
-            store,
+            store: PageStore::new(),
         };
         self.regions.insert(start, region);
         Ok(start)
     }
 
-    /// Unmaps `[addr, addr+len)`.  Like Linux, unmapping a range with no
-    /// mappings in it is not an error; partial overlaps split regions.
-    pub fn munmap(&mut self, addr: Addr, len: u64) -> Result<(), MemError> {
+    /// Validates a page-granular `[addr, addr+len)` request, returning `len`
+    /// in whole pages; a range that wraps the space has nothing behind it.
+    fn page_range(addr: Addr, len: u64) -> Result<u64, MemError> {
         if len == 0 {
             return Err(MemError::ZeroLength);
         }
         if !addr.is_page_aligned() {
             return Err(MemError::Unaligned);
         }
-        let len = page_align_up(len);
+        len.checked_next_multiple_of(PAGE_SIZE)
+            .filter(|len| addr.checked_add(*len).is_some())
+            .ok_or(MemError::Fault(addr))
+    }
+
+    /// Unmaps `[addr, addr+len)`.  Like Linux, unmapping a range with no
+    /// mappings in it is not an error; partial overlaps split regions.
+    pub fn munmap(&mut self, addr: Addr, len: u64) -> Result<(), MemError> {
+        let len = Self::page_range(addr, len)?;
         self.stats.munmap_calls += 1;
         self.unmap_range(addr, len);
         Ok(())
@@ -263,158 +277,151 @@ impl AddressSpace {
     /// Changes protection bits over `[addr, addr+len)`, splitting regions at
     /// the boundaries when necessary.
     pub fn mprotect(&mut self, addr: Addr, len: u64, prot: Prot) -> Result<(), MemError> {
-        if len == 0 {
-            return Err(MemError::ZeroLength);
-        }
-        if !addr.is_page_aligned() {
-            return Err(MemError::Unaligned);
-        }
-        let len = page_align_up(len);
+        let len = Self::page_range(addr, len)?;
         // Split at both boundaries so the target range is covered by whole
-        // regions, then flip the protection on those regions.
+        // regions — exactly those starting inside it — then flip them.
         self.split_at(addr);
         self.split_at(addr + len);
-        let keys: Vec<Addr> = self
-            .regions
-            .range(..Addr(addr.as_u64() + len))
-            .filter(|(_, r)| r.overlaps(addr, len))
-            .map(|(k, _)| *k)
-            .collect();
-        if keys.is_empty() {
-            return Err(MemError::Fault(addr));
-        }
-        for k in keys {
-            if let Some(r) = self.regions.get_mut(&k) {
-                r.prot = prot;
-            }
-        }
+        let mut covered = self.regions.range_mut(addr..addr + len).peekable();
+        covered.peek().ok_or(MemError::Fault(addr))?;
+        covered.for_each(|(_, r)| r.prot = prot);
         Ok(())
+    }
+
+    /// The keys of the regions that can overlap `[addr, addr+len)`: from the
+    /// region containing `addr`, if any, to the range's end.
+    fn span(&self, addr: Addr, len: u64) -> Result<Range<Addr>, MemError> {
+        let end = addr.checked_add(len).ok_or(MemError::Fault(addr))?;
+        let below = self.regions.range(..=addr).next_back();
+        Ok(below.map_or(addr, |(start, _)| *start)..end)
+    }
+
+    /// The range walk under every accessor: `f(region, segment start, segment
+    /// bytes)` for each mapped piece of `[addr, addr+len)` in address order,
+    /// one region lookup for the whole range.  Holes are skipped; accessors
+    /// that must not meet one run [`AddressSpace::check`] first.
+    fn walk<'a>(
+        &'a self,
+        addr: Addr,
+        len: u64,
+        f: impl FnMut(&'a Region, Addr, u64) -> Result<(), MemError>,
+    ) -> Result<(), MemError> {
+        let span = self.span(addr, len)?;
+        segments(self.regions.range(span.clone()), addr..span.end, f)
+    }
+
+    /// [`AddressSpace::walk`] over mutable regions.
+    fn walk_mut(
+        &mut self,
+        addr: Addr,
+        len: u64,
+        f: impl FnMut(&mut Region, Addr, u64) -> Result<(), MemError>,
+    ) -> Result<(), MemError> {
+        let span = self.span(addr, len)?;
+        segments(self.regions.range_mut(span.clone()), addr..span.end, f)
+    }
+
+    /// The one validation pass: every byte of `[addr, addr+len)` is mapped
+    /// and — for an access needing protection `need` — permitted and
+    /// resident (`None`: restore bookkeeping, mapping only).  A hole or a
+    /// protection violation anywhere in the range wins over an absent page,
+    /// so no fault handler pages in for an access that cannot succeed.
+    fn check(&self, addr: Addr, len: u64, need: Option<Prot>) -> Result<(), MemError> {
+        let mut cur = addr;
+        let mut absent = None;
+        self.walk(addr, len, |r, lo, n| {
+            if lo > cur {
+                return Err(MemError::Fault(cur));
+            }
+            cur = lo + n;
+            let Some(need) = need else { return Ok(()) };
+            if !r.prot.contains(need) {
+                return Err(MemError::Protection(lo));
+            }
+            if absent.is_none() {
+                let first = r.store.absent_in(r.pages(lo, n));
+                absent = first.map(|page| r.start + page * PAGE_SIZE);
+            }
+            Ok(())
+        })?;
+        if cur < addr + len {
+            return Err(MemError::Fault(cur));
+        }
+        absent.map_or(Ok(()), |a| Err(MemError::NotResident(a)))
     }
 
     /// Reads bytes starting at `addr`.  The range may span several adjacent
     /// regions but every byte must be mapped and readable.
     pub fn read(&self, addr: Addr, buf: &mut [u8]) -> Result<(), MemError> {
-        self.access(addr, buf.len() as u64, false)?;
-        self.check_resident(addr, buf.len() as u64)?;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let cur = addr + done as u64;
-            let region = self.region_at(cur).ok_or(MemError::Fault(cur))?;
-            let n = ((region.end() - cur) as usize).min(buf.len() - done);
-            region.read(cur, &mut buf[done..done + n]);
-            done += n;
-        }
-        Ok(())
+        self.check(addr, buf.len() as u64, Some(Prot::READ))?;
+        self.walk(addr, buf.len() as u64, |r, lo, n| {
+            r.read(lo, &mut buf[(lo - addr) as usize..][..n as usize])
+        })
     }
 
     /// Writes bytes starting at `addr`.
     pub fn write(&mut self, addr: Addr, data: &[u8]) -> Result<(), MemError> {
-        self.access(addr, data.len() as u64, true)?;
-        self.check_resident(addr, data.len() as u64)?;
-        let mut done = 0usize;
-        while done < data.len() {
-            let cur = addr + done as u64;
-            let key = self
-                .region_at(cur)
-                .map(|r| r.start)
-                .ok_or(MemError::Fault(cur))?;
-            // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-            let region = self.regions.get_mut(&key).expect("region key just found");
-            let n = ((region.end() - cur) as usize).min(data.len() - done);
-            region.write(cur, &data[done..done + n]);
-            done += n;
-        }
-        Ok(())
+        self.check(addr, data.len() as u64, Some(Prot::WRITE))?;
+        let epoch = self.write_epoch;
+        self.walk_mut(addr, data.len() as u64, |r, lo, n| {
+            r.write(lo, &data[(lo - addr) as usize..][..n as usize], epoch)
+        })
     }
 
     /// Fills `[addr, addr+len)` with `byte` (cheap bulk initialisation for
     /// workloads).
     pub fn fill(&mut self, addr: Addr, len: u64, byte: u8) -> Result<(), MemError> {
-        self.access(addr, len, true)?;
-        self.check_resident(addr, len)?;
-        let mut done = 0u64;
-        while done < len {
-            let cur = addr + done;
-            let key = self
-                .region_at(cur)
-                .map(|r| r.start)
-                .ok_or(MemError::Fault(cur))?;
-            // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-            let region = self.regions.get_mut(&key).expect("region key just found");
-            let n = (region.end() - cur).min(len - done);
-            region.store.fill(cur - region.start, n, byte);
-            done += n;
-        }
-        Ok(())
+        self.check(addr, len, Some(Prot::WRITE))?;
+        let epoch = self.write_epoch;
+        self.walk_mut(addr, len, |r, lo, n| r.fill(lo, n, byte, epoch))
     }
 
     /// Copies `len` bytes from `src` to `dst`, touching only the bytes backed
-    /// by dirty (materialised) pages of the source range.  Bytes backed by
-    /// never-written pages are zero on both sides already (the destination
-    /// must be freshly mapped or otherwise known-zero), so multi-gigabyte
-    /// logical copies stay cheap.  Returns the number of bytes physically
-    /// copied.
+    /// by resident pages of the source range.  Bytes backed by never-written
+    /// pages are zero on both sides already (the destination must be freshly
+    /// mapped or otherwise known-zero), so multi-gigabyte logical copies
+    /// stay cheap.  Returns the number of bytes logically copied.
+    ///
+    /// The source pages are snapshotted as shares and each is written once
+    /// into the destination (epoch-stamped like any write), which ends up
+    /// owning its bytes: one copy, no intermediate buffer.
     ///
     /// This is the primitive behind CRAC's drain (device → upper-half
     /// staging) and refill (staging → device) of active allocations.
     pub fn sparse_copy(&mut self, dst: Addr, src: Addr, len: u64) -> Result<u64, MemError> {
-        self.access(src, len, false)?;
-        self.access(dst, len, true)?;
-        // Absent source pages hold real (not-yet-fetched) content that the
-        // dirty-page walk below would silently miss; absent destination
-        // pages would be clobbered later by their install.  Both must be
-        // paged in first.
-        self.check_resident(src, len)?;
-        self.check_resident(dst, len)?;
-        let src_end = src + len;
-        // Collect the dirty byte ranges first (read-only pass), then write.
-        let mut pieces: Vec<(u64, Vec<u8>)> = Vec::new();
-        for region in self.regions.values() {
-            if !region.overlaps(src, len) {
-                continue;
-            }
-            for (page_idx, bytes) in region.store.dirty_pages() {
-                let page_start = region.start + page_idx * PAGE_SIZE;
-                let page_end = page_start + PAGE_SIZE;
-                let start = page_start.max(src);
-                let end = page_end.min(src_end);
-                if start >= end {
-                    continue;
+        // Absent source pages hold real (not-yet-fetched) content; absent
+        // destination pages would be clobbered later by their install.
+        // `check` makes both fault in first.
+        self.check(src, len, Some(Prot::READ))?;
+        self.check(dst, len, Some(Prot::WRITE))?;
+        // Snapshot the source pages first (shares, no bytes move), then write.
+        let mut shared: Vec<(Addr, Arc<[u8]>)> = Vec::new();
+        self.walk(src, len, |r, lo, n| {
+            for (page, slot) in r.store.slots(r.pages(lo, n)) {
+                let start = r.start + page * PAGE_SIZE;
+                match slot {
+                    Slot::Resident(p) => shared.push((start, p.share())),
+                    Slot::Absent => return Err(MemError::NotResident(start)),
                 }
-                let off_in_page = (start - page_start) as usize;
-                let n = (end - start) as usize;
-                pieces.push((start - src, bytes[off_in_page..off_in_page + n].to_vec()));
             }
-        }
+            Ok(())
+        })?;
+        let epoch = self.write_epoch;
         let mut copied = 0u64;
-        for (off, data) in pieces {
-            self.write(dst + off, &data)?;
-            copied += data.len() as u64;
+        for (start, page) in shared {
+            // The part of this source page inside the range, and where it lands.
+            let (from, to) = (start.max(src), (start + PAGE_SIZE).min(src + len));
+            let at = dst + (from - src);
+            copied += to - from;
+            self.walk_mut(at, to - from, |r, lo, n| {
+                r.write(
+                    lo,
+                    &page[(from - start + (lo - at)) as usize..][..n as usize],
+                    epoch,
+                )
+            })?;
         }
         Ok(copied)
-    }
-
-    /// Rejects the access if any touched page is declared absent, reporting
-    /// the first such page's address.  Ranges were validated by `access`
-    /// first, so only overlap bookkeeping happens here; regions with no
-    /// absent pages are skipped on a cheap emptiness test.
-    fn check_resident(&self, addr: Addr, len: u64) -> Result<(), MemError> {
-        if len == 0 {
-            return Ok(());
-        }
-        for region in self.regions.range(..addr + len).map(|(_, r)| r) {
-            if !region.store.has_absent() || !region.overlaps(addr, len) {
-                continue;
-            }
-            let start = addr.max(region.start);
-            let end = (addr + len).min(region.end());
-            let first = (start - region.start) / PAGE_SIZE;
-            let count = (end - region.start).div_ceil(PAGE_SIZE) - first;
-            if let Some(page) = region.store.first_absent_in(first, count) {
-                return Err(MemError::NotResident(region.start + page * PAGE_SIZE));
-            }
-        }
-        Ok(())
     }
 
     /// Declares every page of `[addr, addr+len)` absent: mapped, length and
@@ -431,33 +438,16 @@ impl AddressSpace {
             return Err(MemError::Unaligned);
         }
         // Validate the whole range is mapped before mutating anything.
-        let mut cur = addr;
-        let end = addr.checked_add(len).ok_or(MemError::Fault(addr))?;
-        while cur < end {
-            let region = self.region_at(cur).ok_or(MemError::Fault(cur))?;
-            cur = region.end();
-        }
-        let mut cur = addr;
-        while cur < end {
-            let key = self
-                .region_at(cur)
-                .map(|r| r.start)
-                // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-                .expect("range validated above");
-            // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-            let region = self.regions.get_mut(&key).expect("region key just found");
-            let seg_end = region.end().min(end);
-            let first = (cur - region.start) / PAGE_SIZE;
-            let count = (seg_end - cur) / PAGE_SIZE;
-            region.store.declare_absent(first, count);
-            cur = seg_end;
-        }
-        Ok(())
+        self.check(addr, len, None)?;
+        self.walk_mut(addr, len, |r, lo, n| {
+            r.store.declare_absent(r.pages(lo, n));
+            Ok(())
+        })
     }
 
     /// Privileged page install for demand paging: writes whole, page-aligned
     /// pages *ignoring protection bits* (the recorded protection may be
-    /// read-only — content still has to land) and clears their absent marks.
+    /// read-only — content still has to land) and makes them resident.
     /// Pages that are no longer mapped — the application unmapped them while
     /// the restore was still streaming — are skipped, not errors: their
     /// content is dead.  Returns the number of pages actually installed.
@@ -465,19 +455,16 @@ impl AddressSpace {
         if !addr.is_page_aligned() || !(bytes.len() as u64).is_multiple_of(PAGE_SIZE) {
             return Err(MemError::Unaligned);
         }
+        let epoch = self.write_epoch;
         let mut installed = 0u64;
-        for (i, page_bytes) in bytes.chunks_exact(PAGE_SIZE as usize).enumerate() {
-            let page_addr = addr + i as u64 * PAGE_SIZE;
-            let Some(key) = self.region_at(page_addr).map(|r| r.start) else {
-                continue;
-            };
-            // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-            let region = self.regions.get_mut(&key).expect("region key just found");
-            let page = (page_addr - region.start) / PAGE_SIZE;
-            region.store.install_page(page, page_bytes);
-            region.store.mark_resident(page);
-            installed += 1;
-        }
+        self.walk_mut(addr, bytes.len() as u64, |r, lo, n| {
+            let content = &bytes[(lo - addr) as usize..][..n as usize];
+            for (page, bytes) in r.pages(lo, n).zip(content.chunks_exact(PAGE_SIZE as usize)) {
+                r.store.install(page, Arc::from(bytes), epoch);
+            }
+            installed += n / PAGE_SIZE;
+            Ok(())
+        })?;
         Ok(installed)
     }
 
@@ -486,23 +473,22 @@ impl AddressSpace {
         self.regions.values().map(Region::absent_pages).sum()
     }
 
-    fn access(&self, addr: Addr, len: u64, write: bool) -> Result<(), MemError> {
-        if len == 0 {
-            return Ok(());
-        }
-        let mut cur = addr;
-        let end = addr.checked_add(len).ok_or(MemError::Fault(addr))?;
-        while cur < end {
-            let region = self.region_at(cur).ok_or(MemError::Fault(cur))?;
-            if write && !region.prot.writable() {
-                return Err(MemError::Protection(cur));
-            }
-            if !write && !region.prot.readable() {
-                return Err(MemError::Protection(cur));
-            }
-            cur = region.end();
-        }
-        Ok(())
+    /// The slots of `[start, start+len)` in address order, keyed by
+    /// range-relative page index — the checkpointer's one view of what is
+    /// behind each page.  Pages with no slot are zero; only pages wholly
+    /// inside the range are reported.
+    pub fn slots(&self, start: Addr, len: u64) -> impl Iterator<Item = (u64, &Slot)> {
+        // A range that wraps the address space has nothing behind it.
+        let span = self.span(start, len).unwrap_or(start..start);
+        let end = span.end;
+        let regions = self.regions.range(span);
+        regions.flat_map(move |(_, r)| {
+            let lo = (start.max(r.start) - r.start).div_ceil(PAGE_SIZE);
+            let hi = (end.min(r.end()) - r.start) / PAGE_SIZE;
+            r.store
+                .slots(lo..hi.max(lo))
+                .map(move |(page, slot)| ((r.start + page * PAGE_SIZE - start) / PAGE_SIZE, slot))
+        })
     }
 
     /// Returns the region containing `addr`, if any.
@@ -564,47 +550,29 @@ impl AddressSpace {
     /// regions created by the upper half").  Returns the number of regions
     /// eliminated.
     pub fn consolidate_upper_half(&mut self) -> usize {
-        let keys: Vec<Addr> = self
-            .regions
-            .values()
-            .filter(|r| r.half == Half::Upper)
-            .map(|r| r.start)
-            .collect();
-        let mut eliminated = 0usize;
-        let mut i = 0usize;
-        while i + 1 < keys.len() {
-            let a = keys[i];
-            let b = keys[i + 1];
-            let merge = {
-                let ra = &self.regions[&a];
-                let rb = &self.regions[&b];
-                ra.end() == rb.start && ra.prot == rb.prot && ra.half == rb.half
-            };
-            if merge {
-                // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-                let mut rb = self.regions.remove(&b).expect("rb exists");
-                // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-                let ra = self.regions.get_mut(&a).expect("ra exists");
-                let shift_pages = (ra.len / PAGE_SIZE) as i64;
-                // Pages keep their epoch stamps through the merge, so
-                // dirty-since queries stay accurate across consolidation.
-                let pages = rb.store.truncate_pages(0);
-                ra.store.adopt_pages(pages, shift_pages);
-                let absent = rb.store.split_absent(0);
-                ra.store.adopt_absent(absent, shift_pages);
-                ra.len += rb.len;
-                if ra.label != rb.label {
-                    ra.label = format!("{}+{}", ra.label, rb.label);
+        let before = self.regions.len();
+        // One sweep in address order: each region extends the one before it
+        // or starts the next.  Slots move whole: content, epochs and absence.
+        let mut merged: Vec<Region> = Vec::with_capacity(before);
+        for r in std::mem::take(&mut self.regions).into_values() {
+            match merged.last_mut() {
+                Some(a)
+                    if a.half == Half::Upper
+                        && r.half == Half::Upper
+                        && a.end() == r.start
+                        && a.prot == r.prot =>
+                {
+                    a.store.append(r.store, a.page_count());
+                    a.len += r.len;
+                    if a.label != r.label {
+                        a.label = format!("{}+{}", a.label, r.label);
+                    }
                 }
-                eliminated += 1;
-                // Re-run from the same index: the merged region may now abut
-                // the next one as well.  Rebuild the key list lazily by
-                // restarting the scan.
-                return eliminated + self.consolidate_upper_half();
+                _ => merged.push(r),
             }
-            i += 1;
         }
-        eliminated
+        self.regions = merged.into_iter().map(|r| (r.start, r)).collect();
+        before - self.regions.len()
     }
 
     fn half_range(half: Half) -> (u64, u64) {
@@ -625,7 +593,7 @@ impl AddressSpace {
         let mut cursor = lo + slide;
         let mut wrapped = slide == 0;
         loop {
-            if cursor + len > hi {
+            if cursor.checked_add(len).is_none_or(|end| end > hi) {
                 // Wrap once to the un-slid base before giving up.
                 if !wrapped {
                     wrapped = true;
@@ -654,53 +622,50 @@ impl AddressSpace {
     /// Splits the region containing `addr` so that `addr` becomes a region
     /// boundary (no-op if it already is, or if nothing is mapped there).
     fn split_at(&mut self, addr: Addr) {
-        let key = match self.region_at(addr) {
-            Some(r) if r.start != addr => r.start,
-            _ => return,
+        let below = self.regions.range_mut(..addr).next_back();
+        let Some((_, region)) = below.filter(|(_, r)| r.end() > addr) else {
+            return;
         };
-        // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
-        let region = self.regions.get_mut(&key).expect("region key just found");
         let head_len = addr - region.start;
-        let tail_len = region.len - head_len;
-        let tail_first_page = head_len / PAGE_SIZE;
-        let tail_pages = region.store.truncate_pages(tail_first_page);
-        let tail_absent = region.store.split_absent(tail_first_page);
-        region.len = head_len;
-        let id = RegionId(self.next_id);
-        self.next_id += 1;
-        let mut store = PageStore::new();
-        store.set_write_epoch(region.store.write_epoch());
-        let mut tail = Region {
-            id,
+        let tail = Region {
+            id: RegionId(self.next_id),
             start: addr,
-            len: tail_len,
+            len: region.len - head_len,
             prot: region.prot,
             half: region.half,
             label: region.label.clone(),
-            store,
+            store: region.store.split_off(head_len / PAGE_SIZE),
         };
-        tail.store
-            .adopt_pages(tail_pages, -(tail_first_page as i64));
-        tail.store
-            .adopt_absent(tail_absent, -(tail_first_page as i64));
+        region.len = head_len;
+        self.next_id += 1;
         self.regions.insert(addr, tail);
     }
 
     /// Removes all mappings intersecting `[addr, addr+len)`, splitting
-    /// partially covered regions.
+    /// partially covered regions (and dropping the doomed regions' slots).
     fn unmap_range(&mut self, addr: Addr, len: u64) {
-        self.split_at(addr);
-        self.split_at(addr + len);
-        let doomed: Vec<Addr> = self
-            .regions
-            .values()
-            .filter(|r| r.overlaps(addr, len))
-            .map(|r| r.start)
-            .collect();
-        for k in doomed {
-            self.regions.remove(&k);
+        let doomed = addr..addr + len;
+        self.split_at(doomed.start);
+        self.split_at(doomed.end);
+        self.regions.retain(|start, _| !doomed.contains(start));
+    }
+}
+
+/// The body of [`AddressSpace::walk`] and [`AddressSpace::walk_mut`]:
+/// `regions` are the candidates in address order, shared or mutable.
+fn segments<'k, R: Borrow<Region>>(
+    regions: impl Iterator<Item = (&'k Addr, R)>,
+    range: Range<Addr>,
+    mut f: impl FnMut(R, Addr, u64) -> Result<(), MemError>,
+) -> Result<(), MemError> {
+    for (_, r) in regions {
+        let lo = r.borrow().start.max(range.start);
+        let hi = r.borrow().end().min(range.end);
+        if lo < hi {
+            f(r, lo, hi - lo)?;
         }
     }
+    Ok(())
 }
 
 impl fmt::Debug for AddressSpace {

@@ -700,7 +700,7 @@ fn bench_image_io(c: &mut Criterion) {
             for &p in &dirty {
                 space.write_bytes(a + p * PAGE_SIZE, &[0xEE; 64]).unwrap();
             }
-            let runs = crac_addrspace::page_runs_coalesced(dirty.iter().copied(), gap).len();
+            let runs = 1 + dirty.windows(2).filter(|w| w[1] - w[0] - 1 > gap).count();
             let coord = Coordinator::new(space, CoordinatorConfig::default());
             let dir = TempDir::new("bench-precopy-gap");
             let store = ImageStore::open(dir.path()).unwrap();

@@ -1,18 +1,20 @@
-//! The checkpoint/restart driver.
+//! The checkpoint/restart driver.  A checkpoint that meets absent pages (a
+//! lazy restore still paging in) pages them in or fails — see
+//! [`Coordinator::checkpoint_walk`]; it never records them as zeros.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crac_addrspace::{
-    page_runs_coalesced, Addr, AddressSpace, Half, MapRequest, MapsEntry, MemError,
-    PageFaultHandler, PageRun, Prot, SharedSpace, PAGE_SIZE,
+    Addr, AddressSpace, Half, MapRequest, MapsEntry, MemError, PageFaultHandler, PageRun, Prot,
+    SharedSpace, Slot, PAGE_SIZE,
 };
 use crac_obs::{Buckets, EventKind, ObsRegistry};
 
 use crate::image::CheckpointImage;
 use crate::plugin::{DmtcpPlugin, RegionDecision};
 use crate::stream::{
-    CheckpointSink, ImageSink, RegionDescriptor, RestoreError, RestoreSink, SinkClosed,
+    CheckpointSink, CkptError, ImageSink, RegionDescriptor, RestoreError, RestoreSink, SinkClosed,
     MAX_RUN_PAGES,
 };
 
@@ -195,12 +197,17 @@ impl Coordinator {
     /// This is the materialising entry point for in-memory users — it is
     /// the streaming walk ([`Coordinator::checkpoint_walk`]) driven into
     /// an [`ImageSink`], so the two paths cannot diverge.
+    ///
+    /// # Panics
+    ///
+    /// If a lazily restored page cannot be paged in — [`CkptError::Mem`]
+    /// from the streaming entry points.
     pub fn checkpoint(&self, now_ns: u64) -> (CheckpointImage, CkptStats) {
         let mut sink = ImageSink::default();
         let stats = self
             .checkpoint_streaming(&mut sink)
-            // crac-lint: allow(no-unwrap) — the in-memory sink/source is statically infallible
-            .expect("ImageSink is infallible");
+            // crac-lint: allow(no-unwrap) — the in-memory sink never closes; what is left is a page no fault handler can supply, and this signature has no error to carry it
+            .expect("a page of the process cannot be paged in");
         sink.image.taken_at_ns = now_ns;
         (sink.image, stats)
     }
@@ -208,12 +215,14 @@ impl Coordinator {
     /// Takes a stop-the-world checkpoint, pushing `(region descriptor,
     /// page-run payload)` records into `sink` instead of materialising a
     /// [`CheckpointImage`]: [`Coordinator::checkpoint_walk`] with no
-    /// pre-copy configuration.
+    /// pre-copy configuration, with either failure folded into the stop
+    /// marker.
     pub fn checkpoint_streaming(
         &self,
         sink: &mut dyn CheckpointSink,
     ) -> Result<CkptStats, SinkClosed> {
-        self.checkpoint_walk(sink, None).map(|pre| pre.ckpt)
+        let walked = self.checkpoint_walk(sink, None);
+        walked.map(|pre| pre.ckpt).map_err(|_| SinkClosed)
     }
 
     /// The checkpoint walk.  `precopy` decides only *where the world
@@ -261,15 +270,22 @@ impl Coordinator {
     /// final pass; ranges unmapped mid-walk keep their last pre-copied
     /// content in the image.  Both are counted in
     /// [`PrecopyStats::layout_drift`].
+    ///
+    /// **Absent pages** (a lazy restore still paging in) are first-touched
+    /// through [`SharedSpace::page_in`] before the first capture — no space
+    /// lock held, so a live lazy session serves them at fault priority.  If
+    /// one cannot materialise (no handler, session failed) the walk fails
+    /// with [`CkptError::Mem`], plugins resumed: an image never records an
+    /// absent page as zeros.
     pub fn checkpoint_walk(
         &self,
         sink: &mut dyn CheckpointSink,
         precopy: Option<&PrecopyConfig>,
-    ) -> Result<PrecopyStats, SinkClosed> {
+    ) -> Result<PrecopyStats, CkptError> {
         let mut stopped_at = None;
         let result = self.walk(sink, precopy, &mut stopped_at);
         if stopped_at.is_some() {
-            // The sink closed inside the stop window.
+            // The walk failed inside the stop window.
             for p in &self.plugins {
                 p.resume();
             }
@@ -294,7 +310,7 @@ impl Coordinator {
         sink: &mut dyn CheckpointSink,
         precopy: Option<&PrecopyConfig>,
         stopped_at: &mut Option<Instant>,
-    ) -> Result<PrecopyStats, SinkClosed> {
+    ) -> Result<PrecopyStats, CkptError> {
         // Stop-the-world is the same walk with the quiesce in front of the
         // bulk pass: nothing can re-dirty, so no delta round ever runs.
         const STW: PrecopyConfig = PrecopyConfig {
@@ -337,17 +353,27 @@ impl Coordinator {
             }
         }
 
+        // Pages a lazy restore has not faulted in yet: make them resident
+        // before the first capture.
+        for desc in &plan {
+            self.space.page_in(desc.start, desc.len)?;
+        }
+
+        // Every planned range's pages dirtied since `since`, under one lock.
+        let max_gap = cfg.max_run_gap;
+        let capture_plan = |s: &AddressSpace, since: u64| -> Result<Vec<Capture>, MemError> {
+            plan.iter()
+                .map(|d| capture_range(s, d, since, max_gap))
+                .collect()
+        };
+
         // Round 0: bulk copy of every planned range.  Every region is
         // declared here (even all-zero ones), so later rounds only ever
         // *re-open*.
         let mut bulk = 0u64;
         for desc in &plan {
-            sink.begin_region(desc)?;
-            let cap = self
-                .space
-                .with(|s| capture_range(s, desc.start, desc.len, 0, cfg.max_run_gap));
-            bulk += emit_runs(sink, &cap.runs)?;
-            sink.end_region()?;
+            let cap = self.space.with(|s| capture_range(s, desc, 0, max_gap))?;
+            bulk += emit_region(sink, desc, &cap, true)?;
         }
         stats.stored_bytes += bulk;
         pre.round_bytes.push(bulk);
@@ -365,10 +391,11 @@ impl Coordinator {
         // Iterative delta rounds: chase the re-dirtied runs until the
         // residual delta is small enough to stop the world for.
         loop {
-            let residual: u64 = self.space.with(|s| {
-                plan.iter()
-                    .map(|d| pages_since(s, d.start, d.len, epoch).count() as u64)
-                    .sum()
+            let residual = self.space.with(|s| {
+                let slots = plan.iter().flat_map(|d| s.slots(d.start, d.len));
+                slots
+                    .filter(|(_, slot)| matches!(slot, Slot::Resident(p) if p.epoch() >= epoch))
+                    .count() as u64
             });
             if residual <= cfg.convergence_pages {
                 pre.converged = true;
@@ -380,23 +407,15 @@ impl Coordinator {
             pre.rounds += 1;
             // Advance the epoch boundary and capture the delta under one
             // write lock, so no write can fall between the two.
-            let captures: Vec<Capture> = self.space.with_mut(|s| {
+            let captures = self.space.with_mut(|s| {
                 let next = s.snapshot_epoch();
-                let caps = plan
-                    .iter()
-                    .map(|d| capture_range(s, d.start, d.len, epoch, cfg.max_run_gap))
-                    .collect();
+                let caps = capture_plan(s, epoch);
                 epoch = next;
                 caps
-            });
+            })?;
             let mut round_total = 0u64;
             for (desc, cap) in plan.iter().zip(&captures) {
-                if cap.runs.is_empty() {
-                    continue;
-                }
-                sink.begin_region(desc)?;
-                round_total += emit_runs(sink, &cap.runs)?;
-                sink.end_region()?;
+                round_total += emit_region(sink, desc, cap, false)?;
             }
             stats.stored_bytes += round_total;
             pre.round_bytes.push(round_total);
@@ -437,10 +456,7 @@ impl Coordinator {
         }
         let (final_caps, extras, gone) = self.space.with_mut(|s| {
             let now_entries = s.proc_maps();
-            let caps: Vec<Capture> = plan
-                .iter()
-                .map(|d| capture_range(s, d.start, d.len, epoch, cfg.max_run_gap))
-                .collect();
+            let caps = capture_plan(s, epoch)?;
             // Ranges mapped since planning: not covered by any round so
             // far, captured whole now.  Subtract the planned ranges from
             // each current entry rather than testing the entry's start —
@@ -455,22 +471,12 @@ impl Coordinator {
                 for (start, len) in ranges {
                     let mut gaps = vec![(start.0, start.0 + len)];
                     for d in &plan {
+                        // What is left of each gap below and above `d`.
                         let (ds, de) = (d.start.0, d.start.0 + d.len);
                         gaps = gaps
                             .into_iter()
-                            .flat_map(|(gs, ge)| {
-                                if de <= gs || ds >= ge {
-                                    return vec![(gs, ge)];
-                                }
-                                let mut keep = Vec::new();
-                                if gs < ds {
-                                    keep.push((gs, ds));
-                                }
-                                if de < ge {
-                                    keep.push((de, ge));
-                                }
-                                keep
-                            })
+                            .flat_map(|(gs, ge)| [(gs, ge.min(ds)), (gs.max(de), ge)])
+                            .filter(|(gs, ge)| gs < ge)
                             .collect();
                     }
                     for (gs, ge) in gaps {
@@ -480,7 +486,7 @@ impl Coordinator {
                             prot: entry.prot,
                             label: entry.label.clone(),
                         };
-                        let cap = capture_range(s, desc.start, desc.len, 0, cfg.max_run_gap);
+                        let cap = capture_range(s, &desc, 0, max_gap)?;
                         extras.push((desc, cap));
                     }
                 }
@@ -495,8 +501,8 @@ impl Coordinator {
                         .any(|e| e.start <= d.start && d.start < e.end)
                 })
                 .count();
-            (caps, extras, gone)
-        });
+            Ok::<_, MemError>((caps, extras, gone))
+        })?;
         let payloads: Vec<(String, Vec<u8>)> = self
             .plugins
             .iter()
@@ -529,17 +535,10 @@ impl Coordinator {
         // Stream the frozen captures with the application already running.
         let mut final_bytes = 0u64;
         for (desc, cap) in plan.iter().zip(&final_caps) {
-            if cap.runs.is_empty() {
-                continue;
-            }
-            sink.begin_region(desc)?;
-            final_bytes += emit_runs(sink, &cap.runs)?;
-            sink.end_region()?;
+            final_bytes += emit_region(sink, desc, cap, false)?;
         }
         for (desc, cap) in &extras {
-            sink.begin_region(desc)?;
-            final_bytes += emit_runs(sink, &cap.runs)?;
-            sink.end_region()?;
+            final_bytes += emit_region(sink, desc, cap, true)?;
             stats.regions_saved += 1;
             stats.image_bytes += desc.len;
         }
@@ -729,13 +728,8 @@ impl Coordinator {
             stats.bytes_restored += desc.len;
         }
         space.with_mut(|s| {
-            for (region, runs) in &decl.absent {
-                let start = decl.regions[*region].start;
-                for run in runs {
-                    s.declare_absent(start + run.first * PAGE_SIZE, run.count * PAGE_SIZE)?;
-                }
-            }
-            Ok::<(), MemError>(())
+            let mut runs = decl.absent.iter();
+            runs.try_for_each(|(start, pages)| s.declare_absent(*start, pages * PAGE_SIZE))
         })?;
         space.install_fault_handler(handler);
 
@@ -753,125 +747,103 @@ impl Coordinator {
 /// Built by the image-store layer from a manifest plus its fetch plan.
 #[derive(Clone, Debug, Default)]
 pub struct LazyDeclaration {
-    /// Region skeleton, in declaration order (run indices in `absent`
-    /// refer to positions in this list).
+    /// Region skeleton, in declaration order.
     pub regions: Vec<RegionDescriptor>,
-    /// Per-region runs of pages with image content to fault in, as
-    /// `(region index, region-relative page runs)`.
-    pub absent: Vec<(usize, Vec<PageRun>)>,
+    /// Runs of pages with image content to fault in, as `(start address,
+    /// page count)`; a run may span adjacent regions.
+    pub absent: Vec<(Addr, u64)>,
     /// Named plugin payloads, delivered to `restart` hooks immediately.
     pub payloads: Vec<(String, Vec<u8>)>,
 }
 
-/// One bounded emission unit captured from the page store: at most
-/// [`MAX_RUN_PAGES`] range-relative pages, each either a frozen zero-copy
-/// snapshot (`Arc` clone — later writes copy-on-write around it) or `None`
-/// for an unmaterialised, all-zero page bridged into the run by gap
-/// coalescing.
-struct CapturedRun {
-    run: PageRun,
-    pages: Vec<Option<Arc<[u8]>>>,
-}
-
-/// A consistent capture of one saved range: the emission-ready runs plus
-/// how many pages were actually dirty (bridged clean pages excluded).
+/// A consistent capture of one saved range: the pages to emit by
+/// range-relative index — a frozen zero-copy snapshot (later writes
+/// copy-on-write around it) or `None` for a bridged zero page — plus how
+/// many of them were actually dirty.
 struct Capture {
-    runs: Vec<CapturedRun>,
+    pages: Vec<(u64, Option<Arc<[u8]>>)>,
     dirty_pages: u64,
 }
 
-/// The materialised pages of `[start, start+len)` stamped at or after
-/// `since` (`0`: every materialised page), by range-relative page index.
-fn pages_since(
+/// Captures the pages of `range` stamped at or after `since` (`0`: every
+/// resident page) as zero-copy `Arc` clones, in one pass over its slots.
+/// Gaps of up to `max_gap` clean pages between dirty ones are bridged —
+/// captured with whatever content they hold right now, unchanged since the
+/// last round.  Call under the space lock; emission then proceeds without it.
+///
+/// An absent page has content this process never paged in: capturing it as
+/// zeros would silently corrupt the image, so it fails the capture.
+fn capture_range(
     s: &AddressSpace,
-    start: Addr,
-    len: u64,
+    range: &RegionDescriptor,
     since: u64,
-) -> impl Iterator<Item = (u64, &crac_addrspace::Page)> {
-    s.regions()
-        .filter(move |region| region.overlaps(start, len))
-        .flat_map(move |region| {
-            region
-                .store
-                .pages_since(since)
-                .filter_map(move |(page_idx, page)| {
-                    let page_addr = region.start + page_idx * PAGE_SIZE;
-                    (page_addr >= start && page_addr + PAGE_SIZE <= start + len)
-                        .then(|| ((page_addr - start) / PAGE_SIZE, page))
-                })
-        })
-}
-
-/// Captures the pages of `[start, start+len)` stamped at or after `since`
-/// as zero-copy `Arc` clones.  Runs are coalesced across gaps of up to
-/// `max_gap` clean pages, then split to at most [`MAX_RUN_PAGES`] pages
-/// each.  Call under the space lock; emission can then proceed without it.
-fn capture_range(s: &AddressSpace, start: Addr, len: u64, since: u64, max_gap: u64) -> Capture {
-    let mut pages: Vec<(u64, Arc<[u8]>)> = pages_since(s, start, len, since)
-        .map(|(idx, page)| (idx, page.share()))
-        .collect();
-    pages.sort_by_key(|(idx, _)| *idx);
-    let dirty_pages = pages.len() as u64;
-    let runs = page_runs_coalesced(pages.iter().map(|(idx, _)| *idx), max_gap);
-    let by_index: std::collections::BTreeMap<u64, Arc<[u8]>> = pages.into_iter().collect();
-    let mut out = Vec::new();
-    for run in runs {
-        // Split oversized runs so emission buffers stay bounded.
-        let mut first = run.first;
-        let mut remaining = run.count;
-        while remaining > 0 {
-            let take = remaining.min(MAX_RUN_PAGES);
-            let caps = (first..first + take)
-                .map(|page| {
-                    by_index
-                        .get(&page)
-                        .cloned()
-                        // A bridged clean page: capture whatever content it
-                        // holds right now (unchanged since the last round).
-                        .or_else(|| resident_page(s, start, page))
-                })
-                .collect();
-            out.push(CapturedRun {
-                run: PageRun { first, count: take },
-                pages: caps,
-            });
-            first += take;
-            remaining -= take;
+    max_gap: u64,
+) -> Result<Capture, MemError> {
+    let mut pages: Vec<(u64, Option<Arc<[u8]>>)> = Vec::new();
+    let mut dirty_pages = 0u64;
+    // Clean resident pages right behind the last captured one: bridge
+    // content if the next dirty page is close enough (≤ `max_gap` entries).
+    let mut clean: Vec<(u64, &crac_addrspace::Page)> = Vec::new();
+    for (idx, slot) in s.slots(range.start, range.len) {
+        let page = match slot {
+            Slot::Resident(page) => page,
+            Slot::Absent => return Err(MemError::NotResident(range.start + idx * PAGE_SIZE)),
+        };
+        let run_end = pages.last().map(|(last, _)| last + 1);
+        if page.epoch() < since {
+            if run_end.is_some_and(|end| idx - end < max_gap) {
+                clean.push((idx, page));
+            }
+            continue;
         }
+        dirty_pages += 1;
+        if let Some(end) = run_end.filter(|end| idx - end <= max_gap) {
+            pages.extend((end..idx).map(|gap| {
+                let bridged = clean.iter().find(|(i, _)| *i == gap);
+                (gap, bridged.map(|(_, p)| p.share()))
+            }));
+        }
+        clean.clear();
+        pages.push((idx, Some(page.share())));
     }
-    Capture {
-        runs: out,
-        dirty_pages,
-    }
+    Ok(Capture { pages, dirty_pages })
 }
 
-/// The materialised page backing range-relative page `rel_page`, if any.
-fn resident_page(s: &AddressSpace, range_start: Addr, rel_page: u64) -> Option<Arc<[u8]>> {
-    let addr = range_start + rel_page * PAGE_SIZE;
-    let region = s.region_at(addr)?;
-    region
-        .store
-        .page((addr - region.start) / PAGE_SIZE)
-        .map(crac_addrspace::Page::share)
-}
-
-/// Pushes captured runs into `sink`, materialising each run's bytes into
-/// one bounded buffer at a time.  Returns the content bytes streamed.
-fn emit_runs(sink: &mut dyn CheckpointSink, runs: &[CapturedRun]) -> Result<u64, SinkClosed> {
-    let mut streamed = 0u64;
+/// Pushes one region-open of captured pages into `sink` (nothing for an
+/// empty capture unless the region must be `declare`d anyway) as maximal
+/// runs of consecutive pages split to [`MAX_RUN_PAGES`], one bounded buffer
+/// at a time.  Returns the content bytes streamed.
+fn emit_region(
+    sink: &mut dyn CheckpointSink,
+    desc: &RegionDescriptor,
+    cap: &Capture,
+    declare: bool,
+) -> Result<u64, SinkClosed> {
+    if cap.pages.is_empty() && !declare {
+        return Ok(0);
+    }
+    sink.begin_region(desc)?;
     let mut buf: Vec<u8> = Vec::new();
-    for cap in runs {
+    let runs = cap.pages.chunk_by(|a, b| a.0 + 1 == b.0);
+    for run in runs.flat_map(|run| run.chunks(MAX_RUN_PAGES as usize)) {
         buf.clear();
-        for page in &cap.pages {
+        for (_, page) in run {
             match page {
                 Some(bytes) => buf.extend_from_slice(bytes),
                 None => buf.resize(buf.len() + PAGE_SIZE as usize, 0),
             }
         }
-        sink.page_run(cap.run, &buf)?;
-        streamed += cap.run.count * PAGE_SIZE;
+        let count = run.len() as u64;
+        sink.page_run(
+            PageRun {
+                first: run[0].0,
+                count,
+            },
+            &buf,
+        )?;
     }
-    Ok(streamed)
+    sink.end_region()?;
+    Ok(cap.pages.len() as u64 * PAGE_SIZE)
 }
 
 /// The coordinator's streaming-restore consumer: maps declared regions
@@ -1234,18 +1206,42 @@ mod tests {
         assert_eq!(live, restored);
     }
 
+    /// An [`ImageSink`] that also logs the runs it was handed.
+    #[derive(Default)]
+    struct RunLog {
+        inner: ImageSink,
+        runs: Vec<(u64, u64)>,
+    }
+
+    impl CheckpointSink for RunLog {
+        fn begin_region(&mut self, desc: &RegionDescriptor) -> Result<(), SinkClosed> {
+            self.inner.begin_region(desc)
+        }
+        fn page_run(&mut self, run: PageRun, bytes: &[u8]) -> Result<(), SinkClosed> {
+            self.runs.push((run.first, run.count));
+            self.inner.page_run(run, bytes)
+        }
+        fn end_region(&mut self) -> Result<(), SinkClosed> {
+            self.inner.end_region()
+        }
+        fn payload(&mut self, name: &str, data: &[u8]) -> Result<(), SinkClosed> {
+            self.inner.payload(name, data)
+        }
+    }
+
     #[test]
     fn precopy_gap_coalescing_bridges_clean_pages_without_corruption() {
         let space = SharedSpace::new_no_aslr();
-        let a = upper_mapping(&space, 9, "sparse");
-        // Dirty pages 0, 2, 4, 6, 8 — gaps of exactly one clean page.
-        for p in (0..9).step_by(2) {
+        let a = upper_mapping(&space, 48, "sparse");
+        // Dirty pages 0, 2, 4, 6, 8 — gaps of exactly one clean page — then
+        // 11 (a gap of two), then 20..=40 (longer than one emission unit).
+        for p in (0..9).step_by(2).chain([11]).chain(20..=40) {
             space
                 .write_bytes(a + p * PAGE_SIZE, &[p as u8 + 1; 32])
                 .unwrap();
         }
         let coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-        let mut sink = ImageSink::default();
+        let mut sink = RunLog::default();
         let pre = coord
             .checkpoint_walk(
                 &mut sink,
@@ -1255,11 +1251,13 @@ mod tests {
                 }),
             )
             .unwrap();
-        // Bridging emits the clean pages too: one 9-page run, not five.
-        assert_eq!(pre.round_bytes[0], 9 * PAGE_SIZE);
+        // Bridging emits the clean pages too — one 9-page run, not five —
+        // but never a wider gap, and long runs split at `MAX_RUN_PAGES`.
+        assert_eq!(sink.runs, [(0, 9), (11, 1), (20, 16), (36, 5)]);
+        assert_eq!(pre.round_bytes[0], 31 * PAGE_SIZE);
         let fresh = SharedSpace::new_no_aslr();
-        coord.restart_into(&sink.image, &fresh);
-        let mut live = vec![0u8; 9 * PAGE_SIZE as usize];
+        coord.restart_into(&sink.inner.image, &fresh);
+        let mut live = vec![0u8; 48 * PAGE_SIZE as usize];
         let mut restored = live.clone();
         space.read_bytes(a, &mut live).unwrap();
         fresh.read_bytes(a, &mut restored).unwrap();
@@ -1302,20 +1300,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn restart_lazy_maps_the_skeleton_and_faults_content_on_first_touch() {
+    const LAZY_START: Addr = Addr(0x5000_0000_0000);
+
+    /// A process resumed by `restart_lazy` and not touched yet: one 4-page
+    /// region whose pages 1 and 2 have image content coming (0 and 3 restore
+    /// as zeros for free).
+    fn lazily_restored() -> (
+        SharedSpace,
+        Coordinator,
+        Arc<RecordingPlugin>,
+        Arc<CountingHandler>,
+        RestartStats,
+    ) {
         let fresh = SharedSpace::new_no_aslr();
-        let start = Addr(0x5000_0000_0000);
         let decl = LazyDeclaration {
             regions: vec![RegionDescriptor {
-                start,
+                start: LAZY_START,
                 len: 4 * PAGE_SIZE,
                 prot: Prot::RW,
                 label: "lazy-region".into(),
             }],
-            // Pages 1 and 2 have image content coming; 0 and 3 restore as
-            // zeros for free.
-            absent: vec![(0, vec![PageRun { first: 1, count: 2 }])],
+            absent: vec![(LAZY_START + PAGE_SIZE, 2)],
             payloads: vec![("recording".into(), b"recorded".to_vec())],
         };
         let mut coord = Coordinator::new(fresh.clone(), CoordinatorConfig::default());
@@ -1328,6 +1333,13 @@ mod tests {
         let stats = coord
             .restart_lazy(&fresh, &decl, Arc::clone(&handler) as _)
             .unwrap();
+        (fresh, coord, recorder, handler, stats)
+    }
+
+    #[test]
+    fn restart_lazy_maps_the_skeleton_and_faults_content_on_first_touch() {
+        let (fresh, _coord, recorder, handler, stats) = lazily_restored();
+        let start = LAZY_START;
 
         // Resumable immediately: skeleton mapped, nothing read, plugins
         // fired with their manifest payloads.
@@ -1354,5 +1366,43 @@ mod tests {
         assert_eq!(b[0], 0xFA);
         assert_eq!(handler.faults.load(std::sync::atomic::Ordering::SeqCst), 1);
         assert_eq!(fresh.with(|s| s.stats().absent_pages), 1);
+    }
+
+    #[test]
+    fn checkpoint_during_lazy_restore_pages_in_or_fails_never_zeros() {
+        use crate::plugin::PluginEvent::*;
+        // With a handler: the walk first-touches both absent pages, then
+        // captures exactly what the handler installed.
+        let (_fresh, coord, recorder, handler, _) = lazily_restored();
+        let (image, _) = coord.checkpoint(0);
+        assert_eq!(handler.faults.load(std::sync::atomic::Ordering::SeqCst), 2);
+        let pages = &image.regions[0].pages;
+        assert_eq!(pages.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [1, 2]);
+        assert!(pages.iter().all(|(_, b)| b.iter().all(|&x| x == 0xFA)));
+        assert_eq!(
+            *recorder.events.lock(),
+            vec![Restart, PreCheckpoint, Resume]
+        );
+
+        // Without one the page cannot materialise: an error from the
+        // streaming entry, plugins resumed, and no page recorded as zeros.
+        let (fresh, coord, recorder, handler, _) = lazily_restored();
+        fresh.clear_fault_handler();
+        let mut sink = ImageSink::default();
+        assert_eq!(coord.checkpoint_streaming(&mut sink), Err(SinkClosed));
+        assert_eq!(
+            coord.checkpoint_walk(&mut sink, Some(&PrecopyConfig::default())),
+            Err(CkptError::Mem(MemError::NotResident(
+                LAZY_START + PAGE_SIZE
+            )))
+        );
+        assert!(sink.image.regions.iter().all(|r| r.pages.is_empty()));
+        assert_eq!(handler.faults.load(std::sync::atomic::Ordering::SeqCst), 0);
+        assert_eq!(fresh.with(|s| s.stats().absent_pages), 2);
+        assert_eq!(
+            *recorder.events.lock(),
+            vec![Restart, PreCheckpoint, Resume],
+            "the failed stop-the-world walk resumed its plugins; pre-copy never stopped them"
+        );
     }
 }

@@ -31,6 +31,6 @@ pub use cursor::ByteCursor;
 pub use image::{CheckpointImage, SavedRegion};
 pub use plugin::{DmtcpPlugin, PluginEvent, RegionDecision};
 pub use stream::{
-    CheckpointSink, ImageSink, RegionDescriptor, RestoreError, RestoreSink, SinkClosed,
+    CheckpointSink, CkptError, ImageSink, RegionDescriptor, RestoreError, RestoreSink, SinkClosed,
     MAX_RUN_PAGES,
 };

@@ -56,6 +56,31 @@ pub struct RegionDescriptor {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SinkClosed;
 
+/// Why [`Coordinator::checkpoint_walk`](crate::Coordinator::checkpoint_walk)
+/// stopped before the image was complete.  Plugins are resumed either way.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CkptError {
+    /// The sink stopped accepting records; its owner holds the real error.
+    Closed,
+    /// A page of the plan is absent — a lazy restore had not paged it in —
+    /// and could not be made resident: no fault handler is installed, or the
+    /// handler's restore source failed.  Recording it as zeros would
+    /// corrupt the image, so the checkpoint is abandoned instead.
+    Mem(MemError),
+}
+
+impl From<SinkClosed> for CkptError {
+    fn from(_: SinkClosed) -> Self {
+        CkptError::Closed
+    }
+}
+
+impl From<MemError> for CkptError {
+    fn from(e: MemError) -> Self {
+        CkptError::Mem(e)
+    }
+}
+
 /// Why [`Coordinator::restart_streaming`](crate::Coordinator::restart_streaming)
 /// abandoned a restore.
 #[derive(Clone, Debug, PartialEq, Eq)]

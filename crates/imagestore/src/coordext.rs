@@ -31,7 +31,8 @@
 
 use crac_addrspace::SharedSpace;
 use crac_dmtcp::{
-    CkptStats, Coordinator, PrecopyConfig, PrecopyStats, RestartStats, RestoreError, SinkClosed,
+    CkptError, CkptStats, Coordinator, PrecopyConfig, PrecopyStats, RestartStats, RestoreError,
+    SinkClosed,
 };
 
 use crate::codec::Compression;
@@ -104,13 +105,17 @@ pub fn checkpoint_to(
     // bridge parks the sink's real error behind the opaque stop marker.
     let walk = |sink: &mut dyn ChunkSink| {
         let mut bridge = SinkBridge::new(sink);
-        coordinator
-            .checkpoint_walk(&mut bridge, precopy)
-            .map_err(|SinkClosed| {
-                bridge
-                    .into_error()
-                    .unwrap_or_else(|| StoreError::busy("checkpoint sink closed without an error"))
-            })
+        let walked = coordinator.checkpoint_walk(&mut bridge, precopy);
+        walked.map_err(|e| match e {
+            CkptError::Closed => bridge
+                .into_error()
+                .unwrap_or_else(|| StoreError::busy("checkpoint sink closed without an error")),
+            // The process is itself still restoring lazily and its source
+            // cannot supply a page: there is no consistent image to take.
+            CkptError::Mem(e) => {
+                StoreError::busy(format!("checkpoint during a lazy restore failed: {e}"))
+            }
+        })
     };
     let mut landed = Landed::default();
     match target {

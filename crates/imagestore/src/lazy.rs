@@ -45,13 +45,13 @@
 //! source is gone and [`LazyRestoreSession::drain`] reports why.
 
 use crac_sync::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crac_addrspace::{page_runs, Addr, MemError, PageFaultHandler, SharedSpace, PAGE_SIZE};
+use crac_addrspace::{Addr, MemError, PageFaultHandler, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{Coordinator, LazyDeclaration, RegionDescriptor, RestartStats};
 use crac_obs::{Buckets, EventKind, Histogram};
 
@@ -143,13 +143,12 @@ struct LazyShared {
     space: OnceLock<SharedSpace>,
     /// Region start addresses in manifest order (install targets).
     region_starts: Vec<u64>,
-    /// `(start, end, region index)` sorted by start: fault-address
-    /// resolution.
-    lookup: Vec<(u64, u64, usize)>,
     plan: Vec<FetchPlan>,
-    /// `(region index, region-relative page) → plan index`: which chunk
-    /// a faulting page is blocked on.
-    owner: HashMap<(usize, u64), usize>,
+    /// Every winning run of the plan as `(start address, pages, plan
+    /// index)`, sorted by address.  Runs are disjoint (one winner per page,
+    /// regions validated non-overlapping), so one table answers both "which
+    /// pages are absent" and "which chunk is a faulting page blocked on".
+    runs: Vec<(u64, u64, usize)>,
     queue: Mutex<LazyQueue>,
     cv: Condvar,
     error: Mutex<Option<StoreError>>,
@@ -171,12 +170,9 @@ impl LazyShared {
     /// The plan entry owning the page containing `addr`, if any.
     fn resolve(&self, addr: Addr) -> Option<usize> {
         let a = addr.as_u64();
-        let i = self.lookup.partition_point(|&(start, _, _)| start <= a);
-        let &(start, end, region) = self.lookup.get(i.checked_sub(1)?)?;
-        if a >= end {
-            return None;
-        }
-        self.owner.get(&(region, (a - start) / PAGE_SIZE)).copied()
+        let i = self.runs.partition_point(|&(start, _, _)| start <= a);
+        let &(start, pages, idx) = self.runs.get(i.checked_sub(1)?)?;
+        (a < start + pages * PAGE_SIZE).then_some(idx)
     }
 
     /// Blocks until chunk `idx` is `Done`, queueing it at priority if
@@ -409,48 +405,36 @@ impl<'a> LazyRestoreSession<'a> {
         // Region skeleton, plus which pages of each region have image
         // content coming.  Pages with no winner (never dirtied) are left
         // resident: the sparse page store restores them as zeros for free.
-        let mut regions = Vec::with_capacity(manifest.regions.len());
-        let mut region_starts = Vec::with_capacity(manifest.regions.len());
-        for r in &manifest.regions {
-            regions.push(RegionDescriptor {
-                start: Addr(r.start),
-                len: r.len,
-                prot: r.prot,
-                label: r.label.clone(),
-            });
-            region_starts.push(r.start);
-        }
-        let mut owner: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut absent_pages: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); regions.len()];
+        let region_starts: Vec<u64> = manifest.regions.iter().map(|r| r.start).collect();
+        let regions = manifest.regions.iter().map(|r| RegionDescriptor {
+            start: Addr(r.start),
+            len: r.len,
+            prot: r.prot,
+            label: r.label.clone(),
+        });
+        let mut runs: Vec<(u64, u64, usize)> = Vec::new();
         for (idx, entry) in plan.iter().enumerate() {
             for (region, pieces) in &entry.targets {
                 for (run, _) in pieces {
-                    for page in run.pages() {
-                        owner.insert((*region, page), idx);
-                        absent_pages[*region].insert(page);
-                    }
+                    let start = region_starts[*region] + run.first * PAGE_SIZE;
+                    runs.push((start, run.count, idx));
                 }
             }
         }
-        let absent = absent_pages
-            .iter()
-            .enumerate()
-            .filter(|(_, pages)| !pages.is_empty())
-            .map(|(i, pages)| (i, page_runs(pages.iter().copied())))
-            .collect();
+        runs.sort_unstable_by_key(|&(start, _, _)| start);
+        // The absent declaration is the table with neighbours coalesced.
+        let mut absent: Vec<(Addr, u64)> = Vec::new();
+        for &(start, pages, _) in &runs {
+            match absent.last_mut() {
+                Some((s, n)) if s.as_u64() + *n * PAGE_SIZE == start => *n += pages,
+                _ => absent.push((Addr(start), pages)),
+            }
+        }
         let declaration = LazyDeclaration {
-            regions,
+            regions: regions.collect(),
             absent,
             payloads: manifest.payloads.clone(),
         };
-
-        let mut lookup: Vec<(u64, u64, usize)> = manifest
-            .regions
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.start, r.start + r.len, i))
-            .collect();
-        lookup.sort_unstable_by_key(|&(start, _, _)| start);
 
         let threads = effective_read_threads(plan.len());
         obs.run.gauge("crac_reader_threads").set(threads as u64);
@@ -465,9 +449,8 @@ impl<'a> LazyRestoreSession<'a> {
             shared: Arc::new(LazyShared {
                 space: OnceLock::new(),
                 region_starts,
-                lookup,
                 plan,
-                owner,
+                runs,
                 queue: Mutex::new(
                     "imagestore.lazy.queue",
                     LazyQueue {
