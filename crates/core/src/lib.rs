@@ -16,15 +16,19 @@
 //! * a booted lower half (`crac-splitproc`) holding the live CUDA runtime
 //!   (`crac-cudart`) and the trampoline table through which every CUDA call
 //!   crosses from upper to lower;
-//! * the CRAC interposition layer in this crate: it forwards each call
-//!   through the trampoline, **logs** the calls that must be replayed
-//!   (the `cudaMalloc` family, stream/event lifetime, fat-binary
-//!   registration), and **virtualises** stream/event/kernel handles so the
-//!   application's handles remain valid across restart;
+//! * the CRAC interposition layer in this crate: every CUDA call crosses
+//!   through the trampoline; the calls that must be replayed (the
+//!   `cudaMalloc` family, stream/event lifetime, fat-binary registration)
+//!   are each one step of [`interpose::CracState::apply`] — call the
+//!   library, bind or drop the **virtual** stream/event/kernel handle, update
+//!   the active mallocs, append the completed entry to the log — taken under
+//!   the state lock, so the log's order is the library's execution order;
 //! * a DMTCP coordinator (`crac-dmtcp`) with the [`plugin::CracPlugin`]
 //!   registered: at checkpoint time the plugin drains the GPU, stages the
 //!   contents of active device/managed allocations into upper-half staging
-//!   buffers, and excludes all lower-half memory from the image.
+//!   buffers (in a window of the upper half it keeps to itself), and
+//!   excludes all lower-half memory from the image.  Its payload is the log
+//!   and the staging table — nothing derived.
 //!
 //! At restart ([`CracProcess::restart`]):
 //!
@@ -32,13 +36,21 @@
 //!    the same addresses because ASLR is disabled and loading is
 //!    deterministic;
 //! 2. the upper-half memory is restored from the checkpoint image;
-//! 3. the CUDA call log is **replayed** against the fresh runtime, which —
-//!    thanks to the runtime's deterministic arena allocator — recreates every
-//!    active allocation at its original address (a mismatch is a hard error);
-//! 4. fat binaries are re-registered, streams and events are recreated and
-//!    rebound to the application's virtual handles;
-//! 5. the staged contents are copied back into the device and managed
-//!    allocations, and the staging buffers are released.
+//! 3. the CUDA call log is **folded** over the fresh runtime
+//!    ([`replay::replay_log`]): every entry takes the same `apply` step the
+//!    original call took, and what the fresh library returns — thanks to its
+//!    deterministic arena allocator — must be the pointer or handle the
+//!    entry recorded (a mismatch is a hard error).  The one difference is a
+//!    flag: a pinned buffer came back with the upper half, so it is
+//!    re-registered, not allocated;
+//! 4. the state the fold arrives at — log, active mallocs, the application's
+//!    virtual handles bound to the new streams, events, fat binaries and
+//!    kernels, the handle counter — *is* the restarted process's state; the
+//!    image stored none of it beside the log;
+//! 5. the payload's staging table is checked against that state and the
+//!    restored memory (`CracPayload::check_staging` — the payload
+//!    is outside input), then the staged contents are copied back into the
+//!    device and managed allocations and the staging buffers are released.
 //!
 //! The result: the application continues exactly where it was, holding the
 //! same pointers and the same (virtual) stream/event/kernel handles.

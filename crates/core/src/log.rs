@@ -7,12 +7,15 @@
 //! too, so the corresponding lower-half resources can be recreated and
 //! rebound to the application's virtual handles.
 
-use crate::wire::{Decoder, Encoder};
+use crac_dmtcp::ByteCursor;
+
+use crate::wire::Encoder;
 
 /// One logged CUDA call.
 ///
 /// Pointer-returning calls record the pointer the original execution
-/// received; replay verifies the fresh runtime reproduces it.
+/// received and creations the virtual handle the application was given;
+/// replay verifies the fresh runtime reproduces both.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LoggedCall {
     /// `cudaMalloc(size)` returned `ptr`.
@@ -47,56 +50,48 @@ pub enum LoggedCall {
 }
 
 impl LoggedCall {
-    fn tag(&self) -> u8 {
+    /// What the call returned to the application: the pointer of an
+    /// allocation, the virtual handle of a creation, 0 for the rest.  These
+    /// are the fields `CracState::apply` fills in and replay compares.
+    pub(crate) fn returned(&self) -> u64 {
         match self {
-            LoggedCall::Malloc { .. } => 1,
-            LoggedCall::MallocHost { .. } => 2,
-            LoggedCall::MallocManaged { .. } => 3,
-            LoggedCall::Free { .. } => 4,
-            LoggedCall::StreamCreate { .. } => 5,
-            LoggedCall::StreamDestroy { .. } => 6,
-            LoggedCall::EventCreate { .. } => 7,
-            LoggedCall::EventDestroy { .. } => 8,
-            LoggedCall::RegisterFatBinary { .. } => 9,
-            LoggedCall::RegisterFunction { .. } => 10,
-            LoggedCall::UnregisterFatBinary { .. } => 11,
+            LoggedCall::Malloc { ptr, .. }
+            | LoggedCall::MallocHost { ptr, .. }
+            | LoggedCall::MallocManaged { ptr, .. } => *ptr,
+            LoggedCall::StreamCreate { vstream: v }
+            | LoggedCall::EventCreate { vevent: v }
+            | LoggedCall::RegisterFatBinary { vfatbin: v }
+            | LoggedCall::RegisterFunction { vfunction: v, .. } => *v,
+            _ => 0,
         }
     }
 
     fn encode(&self, e: &mut Encoder) {
-        e.u8(self.tag());
         match self {
-            LoggedCall::Malloc { size, ptr }
-            | LoggedCall::MallocHost { size, ptr }
-            | LoggedCall::MallocManaged { size, ptr } => {
-                e.u64(*size).u64(*ptr);
-            }
-            LoggedCall::Free { ptr } => {
-                e.u64(*ptr);
-            }
-            LoggedCall::StreamCreate { vstream } | LoggedCall::StreamDestroy { vstream } => {
-                e.u64(*vstream);
-            }
-            LoggedCall::EventCreate { vevent } | LoggedCall::EventDestroy { vevent } => {
-                e.u64(*vevent);
-            }
-            LoggedCall::RegisterFatBinary { vfatbin }
-            | LoggedCall::UnregisterFatBinary { vfatbin } => {
-                e.u64(*vfatbin);
-            }
+            LoggedCall::Malloc { size, ptr } => e.u8(1).u64(*size).u64(*ptr),
+            LoggedCall::MallocHost { size, ptr } => e.u8(2).u64(*size).u64(*ptr),
+            LoggedCall::MallocManaged { size, ptr } => e.u8(3).u64(*size).u64(*ptr),
+            LoggedCall::Free { ptr } => e.u8(4).u64(*ptr),
+            LoggedCall::StreamCreate { vstream } => e.u8(5).u64(*vstream),
+            LoggedCall::StreamDestroy { vstream } => e.u8(6).u64(*vstream),
+            LoggedCall::EventCreate { vevent } => e.u8(7).u64(*vevent),
+            LoggedCall::EventDestroy { vevent } => e.u8(8).u64(*vevent),
+            LoggedCall::RegisterFatBinary { vfatbin } => e.u8(9).u64(*vfatbin),
             LoggedCall::RegisterFunction {
                 vfatbin,
                 vfunction,
                 name,
-            } => {
-                e.u64(*vfatbin).u64(*vfunction).string(name);
-            }
-        }
+            } => e
+                .u8(10)
+                .u64(*vfatbin)
+                .u64(*vfunction)
+                .bytes(name.as_bytes()),
+            LoggedCall::UnregisterFatBinary { vfatbin } => e.u8(11).u64(*vfatbin),
+        };
     }
 
-    fn decode(d: &mut Decoder<'_>) -> Option<Self> {
-        let tag = d.u8()?;
-        Some(match tag {
+    fn decode(d: &mut ByteCursor<'_>) -> Option<Self> {
+        Some(match d.u8()? {
             1 => LoggedCall::Malloc {
                 size: d.u64()?,
                 ptr: d.u64()?,
@@ -118,7 +113,7 @@ impl LoggedCall {
             10 => LoggedCall::RegisterFunction {
                 vfatbin: d.u64()?,
                 vfunction: d.u64()?,
-                name: d.string()?,
+                name: String::from_utf8(d.bytes()?.to_vec()).ok()?,
             },
             11 => LoggedCall::UnregisterFatBinary { vfatbin: d.u64()? },
             _ => return None,
@@ -158,29 +153,6 @@ impl CudaCallLog {
         self.calls.iter()
     }
 
-    /// Number of allocation calls (any family) in the log.
-    pub fn alloc_count(&self) -> usize {
-        self.calls
-            .iter()
-            .filter(|c| {
-                matches!(
-                    c,
-                    LoggedCall::Malloc { .. }
-                        | LoggedCall::MallocHost { .. }
-                        | LoggedCall::MallocManaged { .. }
-                )
-            })
-            .count()
-    }
-
-    /// Number of free calls in the log.
-    pub fn free_count(&self) -> usize {
-        self.calls
-            .iter()
-            .filter(|c| matches!(c, LoggedCall::Free { .. }))
-            .count()
-    }
-
     /// Serialises the log for the plugin payload.
     pub fn encode(&self, e: &mut Encoder) {
         e.u64(self.calls.len() as u64);
@@ -190,7 +162,7 @@ impl CudaCallLog {
     }
 
     /// Parses a log previously produced by [`CudaCallLog::encode`].
-    pub fn decode(d: &mut Decoder<'_>) -> Option<Self> {
+    pub fn decode(d: &mut ByteCursor<'_>) -> Option<Self> {
         let n = d.u64()? as usize;
         let mut calls = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
@@ -235,8 +207,11 @@ mod tests {
     fn log_counts_allocs_and_frees() {
         let log = sample_log();
         assert_eq!(log.len(), 9);
-        assert_eq!(log.alloc_count(), 3);
-        assert_eq!(log.free_count(), 1);
+        let frees = log.iter().filter(|c| matches!(c, LoggedCall::Free { .. }));
+        assert_eq!(frees.count(), 1);
+        // Allocations are the entries that returned a pointer.
+        let ptrs: Vec<u64> = log.iter().map(LoggedCall::returned).collect();
+        assert_eq!(ptrs, [1, 2, 0x1000, 0x200000, 3, 0, 0x1000, 4, 0]);
         assert!(!log.is_empty());
     }
 
@@ -246,7 +221,7 @@ mod tests {
         let mut e = Encoder::new();
         log.encode(&mut e);
         let data = e.finish();
-        let decoded = CudaCallLog::decode(&mut Decoder::new(&data)).unwrap();
+        let decoded = CudaCallLog::decode(&mut ByteCursor::new(&data)).unwrap();
         assert_eq!(decoded, log);
     }
 
@@ -256,10 +231,10 @@ mod tests {
         let mut e = Encoder::new();
         log.encode(&mut e);
         let mut data = e.finish();
-        assert!(CudaCallLog::decode(&mut Decoder::new(&data[..data.len() - 4])).is_none());
+        assert!(CudaCallLog::decode(&mut ByteCursor::new(&data[..data.len() - 4])).is_none());
         // Corrupt a tag byte (first call's tag is right after the 8-byte count).
         data[8] = 99;
-        assert!(CudaCallLog::decode(&mut Decoder::new(&data)).is_none());
+        assert!(CudaCallLog::decode(&mut ByteCursor::new(&data)).is_none());
     }
 
     #[test]
@@ -267,7 +242,7 @@ mod tests {
         let log = CudaCallLog::new();
         let mut e = Encoder::new();
         log.encode(&mut e);
-        let decoded = CudaCallLog::decode(&mut Decoder::new(&e.finish())).unwrap();
+        let decoded = CudaCallLog::decode(&mut ByteCursor::new(&e.finish())).unwrap();
         assert!(decoded.is_empty());
     }
 }

@@ -11,8 +11,6 @@ use std::collections::BTreeMap;
 
 use crac_addrspace::Addr;
 
-use crate::wire::{Decoder, Encoder};
-
 /// Which allocation family a pointer came from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AllocKind {
@@ -31,26 +29,10 @@ impl AllocKind {
     pub fn needs_drain(self) -> bool {
         matches!(self, AllocKind::Device | AllocKind::Managed)
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            AllocKind::Device => 0,
-            AllocKind::PinnedHost => 1,
-            AllocKind::Managed => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => AllocKind::Device,
-            1 => AllocKind::PinnedHost,
-            2 => AllocKind::Managed,
-            _ => return None,
-        })
-    }
 }
 
-/// The set of currently active (not freed) allocations.
+/// The set of currently active (not freed) allocations.  Never stored in a
+/// checkpoint: it is a fold of the call log, re-derived by replay.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ActiveMallocs {
     map: BTreeMap<u64, (u64, AllocKind)>,
@@ -92,15 +74,6 @@ impl ActiveMallocs {
         self.map.iter().map(|(p, (s, k))| (Addr(*p), *s, *k))
     }
 
-    /// Active allocations of one kind, in address order.
-    pub fn of_kind(&self, kind: AllocKind) -> Vec<(Addr, u64)> {
-        self.map
-            .iter()
-            .filter(|(_, (_, k))| *k == kind)
-            .map(|(p, (s, _))| (Addr(*p), *s))
-            .collect()
-    }
-
     /// Total bytes of active allocations that must be drained at checkpoint.
     pub fn drain_bytes(&self) -> u64 {
         self.map
@@ -108,32 +81,6 @@ impl ActiveMallocs {
             .filter(|(_, k)| k.needs_drain())
             .map(|(s, _)| *s)
             .sum()
-    }
-
-    /// Total bytes across all active allocations.
-    pub fn total_bytes(&self) -> u64 {
-        self.map.values().map(|(s, _)| *s).sum()
-    }
-
-    /// Serialises the tracker for the plugin payload.
-    pub fn encode(&self, e: &mut Encoder) {
-        e.u64(self.map.len() as u64);
-        for (ptr, (size, kind)) in &self.map {
-            e.u64(*ptr).u64(*size).u8(kind.tag());
-        }
-    }
-
-    /// Parses a tracker previously produced by [`ActiveMallocs::encode`].
-    pub fn decode(d: &mut Decoder<'_>) -> Option<Self> {
-        let n = d.u64()? as usize;
-        let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let ptr = d.u64()?;
-            let size = d.u64()?;
-            let kind = AllocKind::from_tag(d.u8()?)?;
-            map.insert(ptr, (size, kind));
-        }
-        Some(Self { map })
     }
 }
 
@@ -150,8 +97,8 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert_eq!(m.get(Addr(0x2000)), Some((8192, AllocKind::Managed)));
         assert_eq!(m.drain_bytes(), 4096 + 8192);
-        assert_eq!(m.total_bytes(), 4096 + 8192 + 100);
-        assert_eq!(m.of_kind(AllocKind::Device), vec![(Addr(0x1000), 4096)]);
+        let first = m.iter().next();
+        assert_eq!(first, Some((Addr(0x1000), 4096, AllocKind::Device)));
         assert_eq!(m.remove(Addr(0x1000)), Some((4096, AllocKind::Device)));
         assert_eq!(m.remove(Addr(0x1000)), None);
         assert_eq!(m.len(), 2);
@@ -162,24 +109,5 @@ mod tests {
         assert!(AllocKind::Device.needs_drain());
         assert!(AllocKind::Managed.needs_drain());
         assert!(!AllocKind::PinnedHost.needs_drain());
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let mut m = ActiveMallocs::new();
-        m.insert(Addr(0xaaa000), 1, AllocKind::Device);
-        m.insert(Addr(0xbbb000), 2, AllocKind::PinnedHost);
-        m.insert(Addr(0xccc000), 3, AllocKind::Managed);
-        let mut e = Encoder::new();
-        m.encode(&mut e);
-        let decoded = ActiveMallocs::decode(&mut Decoder::new(&e.finish())).unwrap();
-        assert_eq!(decoded, m);
-    }
-
-    #[test]
-    fn corrupt_kind_tag_is_rejected() {
-        let mut e = Encoder::new();
-        e.u64(1).u64(0x1000).u64(64).u8(9);
-        assert!(ActiveMallocs::decode(&mut Decoder::new(&e.finish())).is_none());
     }
 }

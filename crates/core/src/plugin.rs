@@ -1,35 +1,41 @@
 //! The CRAC DMTCP plugin: drain, stage, exclude the lower half, and carry the
 //! replay log in the checkpoint image.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crac_sync::Mutex;
 
+use crac_addrspace::space::UPPER_BASE;
 use crac_addrspace::{page_align_up, Addr, Half, MapRequest, MapsEntry, SharedSpace};
 use crac_cudart::CudaRuntime;
 use crac_dmtcp::plugin::{DmtcpPlugin, RegionDecision};
+use crac_dmtcp::ByteCursor;
 
 use crate::interpose::{CracState, StagedBuffer};
 use crate::log::CudaCallLog;
 use crate::mallocs::ActiveMallocs;
-use crate::wire::{Decoder, Encoder};
+use crate::process::CracError;
+use crate::wire::Encoder;
 
-/// Boundary between the lower and upper halves (mirrors
-/// `crac_addrspace::space::UPPER_BASE`).
-const UPPER_BASE: u64 = 0x4000_0000_0000;
+/// Base of the window at the top of the upper half that CRAC keeps to
+/// itself: staging buffers are mapped here, back to back, and nowhere else,
+/// so an address alone tells restart whether a range an image calls
+/// "staging" can be one (the application's own mappings grow up from
+/// [`UPPER_BASE`]).
+pub const STAGING_BASE: u64 = 0x7000_0000_0000;
 
-/// Magic prefix of the plugin payload.
-const PAYLOAD_MAGIC: &[u8; 8] = b"CRACPAY1";
+/// Magic prefix of the plugin payload (`2`: the log and the staging table,
+/// nothing derived).
+const PAYLOAD_MAGIC: &[u8; 8] = b"CRACPAY2";
 
-/// The decoded contents of a CRAC plugin payload.
-#[derive(Clone, Debug, Default)]
+/// The decoded contents of a CRAC plugin payload: the log, which replay
+/// folds back into the whole interposition state, and where the drained
+/// device contents wait.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CracPayload {
-    /// Next virtual handle to hand out after restart.
-    pub next_handle: u64,
     /// The replay log.
     pub log: CudaCallLog,
-    /// Active allocations at checkpoint time.
-    pub mallocs: ActiveMallocs,
     /// Staged device/managed buffer contents.
     pub staging: Vec<StagedBuffer>,
 }
@@ -39,9 +45,7 @@ impl CracPayload {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.bytes(PAYLOAD_MAGIC);
-        e.u64(self.next_handle);
         self.log.encode(&mut e);
-        self.mallocs.encode(&mut e);
         e.u64(self.staging.len() as u64);
         for s in &self.staging {
             e.u64(s.ptr).u64(s.len).u64(s.staging);
@@ -49,15 +53,15 @@ impl CracPayload {
         e.finish()
     }
 
-    /// Parses a payload produced by [`CracPayload::encode`].
+    /// Parses a payload produced by [`CracPayload::encode`] — all of it: a
+    /// payload of another version, a truncated one and one with bytes left
+    /// over are all `None`.
     pub fn decode(data: &[u8]) -> Option<Self> {
-        let mut d = Decoder::new(data);
+        let mut d = ByteCursor::new(data);
         if d.bytes()? != PAYLOAD_MAGIC {
             return None;
         }
-        let next_handle = d.u64()?;
         let log = CudaCallLog::decode(&mut d)?;
-        let mallocs = ActiveMallocs::decode(&mut d)?;
         let n = d.u64()? as usize;
         let mut staging = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
@@ -67,12 +71,47 @@ impl CracPayload {
                 staging: d.u64()?,
             });
         }
-        Some(Self {
-            next_handle,
-            log,
-            mallocs,
-            staging,
-        })
+        d.at_end().then_some(Self { log, staging })
+    }
+
+    /// Checks the staging table against the mallocs the log replayed to and
+    /// the restored memory, before restart copies or unmaps anything on its
+    /// word.  The payload is outside input (the manifest's checksum is the
+    /// sender's), so restart refills only what [`CracPlugin::pre_checkpoint`]
+    /// could have staged: every entry names one active drained allocation
+    /// with its exact size, each at most once, and its staging range is
+    /// page-aligned, inside the staging window, mapped end to end by the
+    /// image, and disjoint from every other entry's.
+    pub(crate) fn check_staging(
+        &self,
+        mallocs: &ActiveMallocs,
+        space: &SharedSpace,
+    ) -> Result<(), CracError> {
+        let mut ranges = Vec::with_capacity(self.staging.len());
+        let mut staged = BTreeSet::new();
+        for s in &self.staging {
+            let known = mallocs.get(Addr(s.ptr));
+            let drained = known.is_some_and(|(len, kind)| len == s.len && kind.needs_drain());
+            let in_window = s.staging >= STAGING_BASE && Addr(s.staging).is_page_aligned();
+            if !(drained && in_window && staged.insert(s.ptr)) {
+                return Err(CracError::BadImage);
+            }
+            // `len` is an active allocation's size: rounding it up cannot wrap.
+            ranges.push((s.staging, s.staging.saturating_add(page_align_up(s.len))));
+        }
+        ranges.sort_unstable();
+        let apart = ranges.windows(2).all(|w| w[0].1 <= w[1].0);
+        // Mapped end to end: hop from region to region until past the end.
+        let mapped = |&(mut at, end): &(u64, u64)| {
+            space.with(|sp| {
+                while let Some(r) = sp.region_at(Addr(at)).filter(|_| at < end) {
+                    at = r.end().as_u64();
+                }
+                at >= end
+            })
+        };
+        let fits = apart && ranges.iter().all(mapped);
+        fits.then_some(()).ok_or(CracError::BadImage)
     }
 }
 
@@ -118,19 +157,18 @@ impl DmtcpPlugin for CracPlugin {
             .filter(|(_, _, kind)| kind.needs_drain())
             .map(|(ptr, len, _)| (ptr, len))
             .collect();
+        let mut window = Addr(STAGING_BASE);
         for (ptr, len) in to_drain {
+            let request = MapRequest::anon(page_align_up(len), Half::Upper, "crac-staging");
             let staging = self
                 .space
-                .mmap(MapRequest::anon(
-                    page_align_up(len),
-                    Half::Upper,
-                    "crac-staging",
-                ))
-                // crac-lint: allow(no-unwrap) — staging lands in the reserved upper half, which cannot be exhausted by construction
+                .mmap(request.at(window))
+                // crac-lint: allow(no-unwrap) — staging lands in CRAC's own window of the upper half, which cannot be exhausted by construction
                 .expect("staging allocation must succeed");
+            window = staging + page_align_up(len);
             self.space
                 .sparse_copy(staging, ptr, len)
-                // crac-lint: allow(no-unwrap) — staging lands in the reserved upper half, which cannot be exhausted by construction
+                // crac-lint: allow(no-unwrap) — both ends were mapped just above: an active allocation and its fresh staging buffer
                 .expect("drain copy of an active allocation");
             st.staging.push(StagedBuffer {
                 ptr: ptr.as_u64(),
@@ -151,9 +189,7 @@ impl DmtcpPlugin for CracPlugin {
     fn payload(&self) -> Vec<u8> {
         let st = self.state.lock();
         CracPayload {
-            next_handle: st.next_handle,
             log: st.log.clone(),
-            mallocs: st.mallocs.clone(),
             staging: st.staging.clone(),
         }
         .encode()
@@ -188,7 +224,8 @@ mod tests {
     use super::*;
     use crate::log::LoggedCall;
     use crate::mallocs::AllocKind;
-    use crac_addrspace::Prot;
+    use crac_addrspace::space::SPACE_END;
+    use crac_addrspace::{Prot, PAGE_SIZE};
     use crac_cudart::RuntimeConfig;
 
     fn setup() -> (
@@ -199,7 +236,7 @@ mod tests {
     ) {
         let space = SharedSpace::new_no_aslr();
         let runtime = CudaRuntime::new(RuntimeConfig::test(), space.clone());
-        let state = Arc::new(Mutex::new("core.plugin.state", CracState::new()));
+        let state = Arc::new(Mutex::new("core.plugin.state", CracState::default()));
         let plugin = CracPlugin::new(Arc::clone(&runtime), space.clone(), Arc::clone(&state));
         (runtime, space, state, plugin)
     }
@@ -207,7 +244,6 @@ mod tests {
     #[test]
     fn payload_round_trips() {
         let payload = CracPayload {
-            next_handle: 7,
             log: {
                 let mut l = CudaCallLog::new();
                 l.push(LoggedCall::Malloc {
@@ -216,24 +252,73 @@ mod tests {
                 });
                 l
             },
-            mallocs: {
-                let mut m = ActiveMallocs::new();
-                m.insert(Addr(0x100), 64, AllocKind::Device);
-                m
-            },
             staging: vec![StagedBuffer {
                 ptr: 0x100,
                 len: 64,
-                staging: 0x4000_0000_0000,
+                staging: STAGING_BASE,
             }],
         };
         let bytes = payload.encode();
-        let back = CracPayload::decode(&bytes).unwrap();
-        assert_eq!(back.next_handle, 7);
-        assert_eq!(back.log, payload.log);
-        assert_eq!(back.mallocs, payload.mallocs);
-        assert_eq!(back.staging, payload.staging);
+        assert_eq!(CracPayload::decode(&bytes), Some(payload));
         assert!(CracPayload::decode(&bytes[..5]).is_none());
+        // The whole input is the payload: nothing may trail it.
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(CracPayload::decode(&longer).is_none());
+    }
+
+    #[test]
+    fn staging_is_refilled_only_where_the_plugin_could_have_put_it() {
+        let (runtime, space, state, plugin) = setup();
+        let dev = runtime.malloc(8192).unwrap();
+        let managed = runtime.malloc_managed(4096).unwrap();
+        let pinned = runtime.malloc_host(4096).unwrap();
+        let heap = space
+            .mmap(MapRequest::anon(8192, Half::Upper, "[heap]"))
+            .unwrap();
+        space.write_bytes(heap, &[7; 64]).unwrap();
+        {
+            let mut st = state.lock();
+            st.mallocs.insert(dev, 8192, AllocKind::Device);
+            st.mallocs.insert(managed, 4096, AllocKind::Managed);
+            st.mallocs.insert(pinned, 4096, AllocKind::PinnedHost);
+        }
+        plugin.pre_checkpoint();
+        let st = state.lock();
+        let honest = CracPayload {
+            log: CudaCallLog::new(),
+            staging: st.staging.clone(),
+        };
+        assert_eq!(honest.staging.len(), 2);
+        assert_eq!(honest.staging[0].staging, STAGING_BASE);
+        assert_eq!(honest.check_staging(&st.mallocs, &space), Ok(()));
+
+        let lie = |edit: &dyn Fn(&mut Vec<StagedBuffer>)| {
+            let mut p = honest.clone();
+            edit(&mut p.staging);
+            p.check_staging(&st.mallocs, &space)
+        };
+        let bad = Err(CracError::BadImage);
+        // The application's heap is not staging, however well it is mapped.
+        assert_eq!(lie(&|s| s[0].staging = heap.as_u64()), bad);
+        // Two entries may not share staging, nor one allocation two entries.
+        assert_eq!(lie(&|s| s[1].staging = s[0].staging), bad);
+        assert_eq!(lie(&|s| s[1] = s[0]), bad);
+        // The target is an active drained allocation of exactly that size.
+        assert_eq!(lie(&|s| s[0].ptr = pinned.as_u64()), bad);
+        assert_eq!(lie(&|s| s[0].ptr += 256), bad);
+        assert_eq!(lie(&|s| s[0].len = 4096), bad);
+        assert_eq!(lie(&|s| s[0].len = u64::MAX - 1), bad);
+        // The range is page-aligned and mapped end to end.
+        assert_eq!(lie(&|s| s[0].staging += 8), bad);
+        assert_eq!(lie(&|s| s[1].staging += PAGE_SIZE), bad);
+        assert_eq!(lie(&|s| s[1].staging = SPACE_END - PAGE_SIZE), bad);
+        // Staging fewer allocations than are active is the sender's choice.
+        assert_eq!(lie(&|s| s.truncate(1)), Ok(()));
+        // None of it touched memory.
+        let mut buf = [0u8; 64];
+        space.read_bytes(heap, &mut buf).unwrap();
+        assert_eq!(buf, [7; 64]);
     }
 
     #[test]
@@ -250,7 +335,7 @@ mod tests {
         space.read_bytes(Addr(staged[0].staging), &mut buf).unwrap();
         assert_eq!(buf, [0x5a; 128]);
         // Staging is upper-half memory, so DMTCP will save it.
-        assert!(staged[0].staging >= UPPER_BASE);
+        assert!(staged[0].staging >= STAGING_BASE);
 
         plugin.resume();
         assert!(state.lock().staging.is_empty());

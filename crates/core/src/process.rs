@@ -22,22 +22,21 @@ use crate::interpose::{
     CracEvent, CracFatBinary, CracKernel, CracState, CracStream, KernelRegistry,
 };
 use crate::log::LoggedCall;
-use crate::mallocs::AllocKind;
 use crate::plugin::{CracPayload, CracPlugin};
 use crate::replay::replay_log;
 
 /// Errors surfaced by the CRAC layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CracError {
-    /// Replay produced a different address than the original execution — the
-    /// determinism assumption (same GPU/CUDA platform, ASLR disabled) was
-    /// violated.
+    /// Replay produced a different address (or virtual handle) than the
+    /// original execution — the determinism assumption (same GPU/CUDA
+    /// platform, ASLR disabled) was violated.
     ReplayMismatch {
         /// Index of the offending call in the log.
         call_index: usize,
-        /// Address recorded by the original execution.
+        /// Value recorded by the original execution.
         expected: u64,
-        /// Address produced by the replay.
+        /// Value produced by the replay.
         got: u64,
     },
     /// A CUDA runtime error.
@@ -46,7 +45,8 @@ pub enum CracError {
     Mem(String),
     /// An application-visible virtual handle was unknown.
     InvalidHandle(&'static str),
-    /// The checkpoint image did not contain a (valid) CRAC payload.
+    /// The checkpoint image did not contain a (valid) CRAC payload, or the
+    /// payload's staging table does not fit the state its log replays to.
     BadImage,
     /// The persistent image store failed (I/O error or corruption detected
     /// by its integrity checks).
@@ -235,8 +235,11 @@ pub struct RestartReport {
 ///
 /// The methods mirror the CUDA runtime API; each call crosses into the
 /// lower half through the trampoline table (paying the fs-register switch
-/// plus CRAC's logging overhead) and is logged when it belongs to the replay
-/// set.
+/// plus CRAC's logging overhead).  A call of the replay set is one
+/// [`CracState::apply`] step taken under the state lock — call and log entry
+/// together, so the log's order is the library's execution order however
+/// many host threads share the process; every other call takes the lock
+/// only to translate its virtual handles.
 pub struct CracProcess {
     config: CracConfig,
     space: SharedSpace,
@@ -275,21 +278,39 @@ impl CracProcess {
             &ProgramSpec::cuda_application(&config.app_name),
             Half::Upper,
         );
-        let heap = HostHeap::new(space.clone(), 4 << 20);
+        let coordinator = Coordinator::new(space.clone(), config.ckpt.clone());
+        Self::assemble(
+            config,
+            registry,
+            space,
+            lower,
+            coordinator,
+            CracState::default(),
+        )
+    }
 
-        let state = Arc::new(Mutex::new("core.process.state", CracState::new()));
-        let mut coordinator = Coordinator::new(space.clone(), config.ckpt.clone());
+    /// Builds the process object around a booted lower half: `state` — empty
+    /// at launch, what the log replayed to at restart — is shared with the
+    /// CRAC plugin, which joins `coordinator`.
+    fn assemble(
+        config: CracConfig,
+        registry: Arc<KernelRegistry>,
+        space: SharedSpace,
+        lower: LowerHalf,
+        mut coordinator: Coordinator,
+        state: CracState,
+    ) -> Self {
+        let state = Arc::new(Mutex::new("core.process.state", state));
         coordinator.register_plugin(Arc::new(CracPlugin::new(
             Arc::clone(lower.runtime()),
             space.clone(),
             Arc::clone(&state),
         )));
-
         Self {
+            heap: HostHeap::new(space.clone(), 4 << 20),
             config,
             space,
             lower,
-            heap,
             registry,
             state,
             coordinator,
@@ -370,9 +391,15 @@ impl CracProcess {
         self.lower.runtime().device().uvm_stats()
     }
 
+    /// The interposition state (log, active mallocs, virtual handles),
+    /// locked: interposed calls wait while the guard lives.
+    pub fn state(&self) -> impl std::ops::Deref<Target = CracState> + '_ {
+        self.state.lock()
+    }
+
     /// Number of live (not destroyed) virtual streams.
     pub fn live_streams(&self) -> usize {
-        self.state.lock().streams.len()
+        self.state.lock().handles.streams.len()
     }
 
     /// Allocates ordinary host memory on the application's upper-half heap.
@@ -381,24 +408,28 @@ impl CracProcess {
     }
 
     fn stream_of(&self, s: CracStream) -> Result<crac_gpu::StreamId, CracError> {
-        if s == CracStream::DEFAULT {
-            return Ok(crac_gpu::StreamId::DEFAULT);
-        }
-        self.state
-            .lock()
-            .streams
-            .get(&s.0)
-            .copied()
-            .ok_or(CracError::InvalidHandle("stream"))
+        self.state.lock().handles.stream(s)
     }
 
     fn event_of(&self, e: CracEvent) -> Result<crac_gpu::EventId, CracError> {
-        self.state
-            .lock()
-            .events
-            .get(&e.0)
-            .copied()
-            .ok_or(CracError::InvalidHandle("event"))
+        self.state.lock().handles.event(e)
+    }
+
+    /// Crosses into the lower half for one call outside the replay set.
+    fn cross<R>(
+        &self,
+        call: impl FnOnce(&CudaRuntime) -> Result<R, CudaError>,
+    ) -> Result<R, CracError> {
+        let rt = self.lower.runtime();
+        Ok(self.lower.trampolines().call(|| call(rt))?)
+    }
+
+    /// Takes one step of the replay set: executes `call` and logs it, both
+    /// under the state lock.  Returns what the application receives.
+    fn logged(&self, call: LoggedCall) -> Result<u64, CracError> {
+        let (rt, trampolines) = (self.lower.runtime(), self.lower.trampolines());
+        let mut st = self.state.lock();
+        st.apply(call, rt, trampolines, &self.registry, false)
     }
 
     // ---------------------------------------------------------------------
@@ -406,52 +437,26 @@ impl CracProcess {
     // ---------------------------------------------------------------------
 
     /// `cudaMalloc` (interposed and logged).
-    pub fn malloc(&self, bytes: u64) -> Result<Addr, CracError> {
-        let rt = self.lower.runtime();
-        let ptr = self.lower.trampolines().call(|| rt.malloc(bytes))?;
-        let mut st = self.state.lock();
-        st.log.push(LoggedCall::Malloc {
-            size: bytes,
-            ptr: ptr.as_u64(),
-        });
-        st.mallocs.insert(ptr, bytes, AllocKind::Device);
-        Ok(ptr)
+    pub fn malloc(&self, size: u64) -> Result<Addr, CracError> {
+        self.logged(LoggedCall::Malloc { size, ptr: 0 }).map(Addr)
     }
 
     /// `cudaMallocHost` (interposed and logged).
-    pub fn malloc_host(&self, bytes: u64) -> Result<Addr, CracError> {
-        let rt = self.lower.runtime();
-        let ptr = self.lower.trampolines().call(|| rt.malloc_host(bytes))?;
-        let mut st = self.state.lock();
-        st.log.push(LoggedCall::MallocHost {
-            size: bytes,
-            ptr: ptr.as_u64(),
-        });
-        st.mallocs.insert(ptr, bytes, AllocKind::PinnedHost);
-        Ok(ptr)
+    pub fn malloc_host(&self, size: u64) -> Result<Addr, CracError> {
+        self.logged(LoggedCall::MallocHost { size, ptr: 0 })
+            .map(Addr)
     }
 
     /// `cudaMallocManaged` (interposed and logged).
-    pub fn malloc_managed(&self, bytes: u64) -> Result<Addr, CracError> {
-        let rt = self.lower.runtime();
-        let ptr = self.lower.trampolines().call(|| rt.malloc_managed(bytes))?;
-        let mut st = self.state.lock();
-        st.log.push(LoggedCall::MallocManaged {
-            size: bytes,
-            ptr: ptr.as_u64(),
-        });
-        st.mallocs.insert(ptr, bytes, AllocKind::Managed);
-        Ok(ptr)
+    pub fn malloc_managed(&self, size: u64) -> Result<Addr, CracError> {
+        self.logged(LoggedCall::MallocManaged { size, ptr: 0 })
+            .map(Addr)
     }
 
     /// `cudaFree` (interposed and logged).
     pub fn free(&self, ptr: Addr) -> Result<(), CracError> {
-        let rt = self.lower.runtime();
-        self.lower.trampolines().call(|| rt.free(ptr))?;
-        let mut st = self.state.lock();
-        st.log.push(LoggedCall::Free { ptr: ptr.as_u64() });
-        st.mallocs.remove(ptr);
-        Ok(())
+        self.logged(LoggedCall::Free { ptr: ptr.as_u64() })
+            .map(drop)
     }
 
     /// `cudaMemcpy` (interposed; not logged — data, not CUDA state).
@@ -462,11 +467,7 @@ impl CracProcess {
         bytes: u64,
         kind: MemcpyKind,
     ) -> Result<(), CracError> {
-        let rt = self.lower.runtime();
-        self.lower
-            .trampolines()
-            .call(|| rt.memcpy(dst, src, bytes, kind))?;
-        Ok(())
+        self.cross(|rt| rt.memcpy(dst, src, bytes, kind))
     }
 
     /// `cudaMemcpyAsync` (interposed).
@@ -479,20 +480,12 @@ impl CracProcess {
         stream: CracStream,
     ) -> Result<(), CracError> {
         let s = self.stream_of(stream)?;
-        let rt = self.lower.runtime();
-        self.lower
-            .trampolines()
-            .call(|| rt.memcpy_async(dst, src, bytes, kind, s))?;
-        Ok(())
+        self.cross(|rt| rt.memcpy_async(dst, src, bytes, kind, s))
     }
 
     /// `cudaMemset` (interposed).
     pub fn memset(&self, ptr: Addr, value: u8, bytes: u64) -> Result<(), CracError> {
-        let rt = self.lower.runtime();
-        self.lower
-            .trampolines()
-            .call(|| rt.memset(ptr, value, bytes))?;
-        Ok(())
+        self.cross(|rt| rt.memset(ptr, value, bytes))
     }
 
     /// `cudaMemPrefetchAsync` (interposed).
@@ -504,11 +497,7 @@ impl CracProcess {
         stream: CracStream,
     ) -> Result<(), CracError> {
         let s = self.stream_of(stream)?;
-        let rt = self.lower.runtime();
-        self.lower
-            .trampolines()
-            .call(|| rt.mem_prefetch_async(ptr, bytes, to_device, s))?;
-        Ok(())
+        self.cross(|rt| rt.mem_prefetch_async(ptr, bytes, to_device, s))
     }
 
     /// Host-side dereference of managed memory (not an API call; no
@@ -524,100 +513,64 @@ impl CracProcess {
 
     /// `cudaStreamCreate` (interposed and logged).
     pub fn stream_create(&self) -> Result<CracStream, CracError> {
-        let rt = self.lower.runtime();
-        let s = self.lower.trampolines().call(|| rt.stream_create())?;
-        let mut st = self.state.lock();
-        let v = st.fresh_handle();
-        st.streams.insert(v, s);
-        st.log.push(LoggedCall::StreamCreate { vstream: v });
-        Ok(CracStream(v))
+        self.logged(LoggedCall::StreamCreate { vstream: 0 })
+            .map(CracStream)
     }
 
     /// `cudaStreamDestroy` (interposed and logged).
     pub fn stream_destroy(&self, stream: CracStream) -> Result<(), CracError> {
-        let s = self.stream_of(stream)?;
-        let rt = self.lower.runtime();
-        self.lower.trampolines().call(|| rt.stream_destroy(s))?;
-        let mut st = self.state.lock();
-        st.streams.remove(&stream.0);
-        st.log.push(LoggedCall::StreamDestroy { vstream: stream.0 });
-        Ok(())
+        self.logged(LoggedCall::StreamDestroy { vstream: stream.0 })
+            .map(drop)
     }
 
     /// `cudaStreamSynchronize` (interposed).
     pub fn stream_synchronize(&self, stream: CracStream) -> Result<(), CracError> {
         let s = self.stream_of(stream)?;
-        let rt = self.lower.runtime();
-        self.lower.trampolines().call(|| rt.stream_synchronize(s))?;
-        Ok(())
+        self.cross(|rt| rt.stream_synchronize(s))
     }
 
     /// `cudaStreamWaitEvent` (interposed).
     pub fn stream_wait_event(&self, stream: CracStream, event: CracEvent) -> Result<(), CracError> {
         let s = self.stream_of(stream)?;
         let e = self.event_of(event)?;
-        let rt = self.lower.runtime();
-        self.lower
-            .trampolines()
-            .call(|| rt.stream_wait_event(s, e))?;
-        Ok(())
+        self.cross(|rt| rt.stream_wait_event(s, e))
     }
 
     /// `cudaEventCreate` (interposed and logged).
     pub fn event_create(&self) -> Result<CracEvent, CracError> {
-        let rt = self.lower.runtime();
-        let e = self.lower.trampolines().call(|| rt.event_create())?;
-        let mut st = self.state.lock();
-        let v = st.fresh_handle();
-        st.events.insert(v, e);
-        st.log.push(LoggedCall::EventCreate { vevent: v });
-        Ok(CracEvent(v))
+        self.logged(LoggedCall::EventCreate { vevent: 0 })
+            .map(CracEvent)
     }
 
     /// `cudaEventDestroy` (interposed and logged).
     pub fn event_destroy(&self, event: CracEvent) -> Result<(), CracError> {
-        let e = self.event_of(event)?;
-        let rt = self.lower.runtime();
-        self.lower.trampolines().call(|| rt.event_destroy(e))?;
-        let mut st = self.state.lock();
-        st.events.remove(&event.0);
-        st.log.push(LoggedCall::EventDestroy { vevent: event.0 });
-        Ok(())
+        self.logged(LoggedCall::EventDestroy { vevent: event.0 })
+            .map(drop)
     }
 
     /// `cudaEventRecord` (interposed).
     pub fn event_record(&self, event: CracEvent, stream: CracStream) -> Result<(), CracError> {
         let e = self.event_of(event)?;
         let s = self.stream_of(stream)?;
-        let rt = self.lower.runtime();
-        self.lower.trampolines().call(|| rt.event_record(e, s))?;
-        Ok(())
+        self.cross(|rt| rt.event_record(e, s))
     }
 
     /// `cudaEventSynchronize` (interposed).
     pub fn event_synchronize(&self, event: CracEvent) -> Result<(), CracError> {
         let e = self.event_of(event)?;
-        let rt = self.lower.runtime();
-        self.lower.trampolines().call(|| rt.event_synchronize(e))?;
-        Ok(())
+        self.cross(|rt| rt.event_synchronize(e))
     }
 
     /// `cudaEventElapsedTime` in milliseconds (interposed).
     pub fn event_elapsed_ms(&self, start: CracEvent, end: CracEvent) -> Result<f64, CracError> {
         let s = self.event_of(start)?;
         let e = self.event_of(end)?;
-        let rt = self.lower.runtime();
-        Ok(self
-            .lower
-            .trampolines()
-            .call(|| rt.event_elapsed_ms(s, e))?)
+        self.cross(|rt| rt.event_elapsed_ms(s, e))
     }
 
     /// `cudaDeviceSynchronize` (interposed).
     pub fn device_synchronize(&self) -> Result<(), CracError> {
-        let rt = self.lower.runtime();
-        self.lower.trampolines().call(|| rt.device_synchronize())?;
-        Ok(())
+        self.cross(|rt| rt.device_synchronize())
     }
 
     // ---------------------------------------------------------------------
@@ -626,13 +579,10 @@ impl CracProcess {
 
     /// `__cudaRegisterFatBinary` (interposed and logged).
     pub fn register_fat_binary(&self) -> CracFatBinary {
-        let rt = self.lower.runtime();
-        let h = self.lower.trampolines().call(|| rt.register_fat_binary());
-        let mut st = self.state.lock();
-        let v = st.fresh_handle();
-        st.fatbins.insert(v, h);
-        st.log.push(LoggedCall::RegisterFatBinary { vfatbin: v });
-        CracFatBinary(v)
+        let call = LoggedCall::RegisterFatBinary { vfatbin: 0 };
+        // The library's registration cannot fail, so neither does the step;
+        // 0 is no fat binary's handle.
+        CracFatBinary(self.logged(call).unwrap_or(0))
     }
 
     /// `__cudaRegisterFunction` (interposed and logged).  The kernel body is
@@ -642,48 +592,20 @@ impl CracProcess {
         fatbin: CracFatBinary,
         name: &str,
     ) -> Result<CracKernel, CracError> {
-        let fb = self
-            .state
-            .lock()
-            .fatbins
-            .get(&fatbin.0)
-            .copied()
-            .ok_or(CracError::InvalidHandle("fat binary"))?;
-        let body = self.registry.get(name);
-        let rt = self.lower.runtime();
-        let h = self
-            .lower
-            .trampolines()
-            .call(|| rt.register_function(fb, name, body))?;
-        let mut st = self.state.lock();
-        let v = st.fresh_handle();
-        st.kernels.insert(v, (name.to_string(), h));
-        st.log.push(LoggedCall::RegisterFunction {
+        let call = LoggedCall::RegisterFunction {
             vfatbin: fatbin.0,
-            vfunction: v,
+            vfunction: 0,
             name: name.to_string(),
-        });
-        Ok(CracKernel(v))
+        };
+        self.logged(call).map(CracKernel)
     }
 
-    /// `__cudaUnregisterFatBinary` (interposed and logged).
+    /// `__cudaUnregisterFatBinary` (interposed and logged).  The fat
+    /// binary's kernels go with it: their handles are invalid from here on,
+    /// before a restart and after.
     pub fn unregister_fat_binary(&self, fatbin: CracFatBinary) -> Result<(), CracError> {
-        let fb = self
-            .state
-            .lock()
-            .fatbins
-            .get(&fatbin.0)
-            .copied()
-            .ok_or(CracError::InvalidHandle("fat binary"))?;
-        let rt = self.lower.runtime();
-        self.lower
-            .trampolines()
-            .call(|| rt.unregister_fat_binary(fb))?;
-        let mut st = self.state.lock();
-        st.fatbins.remove(&fatbin.0);
-        st.log
-            .push(LoggedCall::UnregisterFatBinary { vfatbin: fatbin.0 });
-        Ok(())
+        self.logged(LoggedCall::UnregisterFatBinary { vfatbin: fatbin.0 })
+            .map(drop)
     }
 
     /// `cudaLaunchKernel` (interposed; not logged — kernels are re-launched
@@ -697,18 +619,8 @@ impl CracProcess {
         stream: CracStream,
     ) -> Result<(), CracError> {
         let s = self.stream_of(stream)?;
-        let handle = self
-            .state
-            .lock()
-            .kernels
-            .get(&kernel.0)
-            .map(|(_, h)| *h)
-            .ok_or(CracError::InvalidHandle("kernel"))?;
-        let rt = self.lower.runtime();
-        self.lower
-            .trampolines()
-            .call(|| rt.launch_kernel(handle, dims, cost, args, s))?;
-        Ok(())
+        let handle = self.state.lock().handles.kernel(kernel)?;
+        self.cross(|rt| rt.launch_kernel(handle, dims, cost, args, s))
     }
 
     // ---------------------------------------------------------------------
@@ -1039,7 +951,7 @@ impl CracProcess {
 
     /// The restart skeleton the materialised and the streamed restore
     /// share: fresh space, fresh lower half, `restore` installs the upper
-    /// half, then the CRAC payload replays against the new runtime.
+    /// half, then the CRAC payload's log is folded over the new runtime.
     fn restart_with(
         config: CracConfig,
         registry: Arc<KernelRegistry>,
@@ -1067,21 +979,23 @@ impl CracProcess {
             .trampolines()
             .set_extra_crossing_cost(config.log_overhead_ns);
 
-        // 2. Restore the upper half.  The restore coordinator adopts the
+        // 2. Restore the upper half.  The process's coordinator adopts the
         //    caller's registry — the one the streaming reader/source is
-        //    already recording into — so the whole restart lands in one
-        //    place.
-        let mut restore_coord = Coordinator::new(space.clone(), config.ckpt.clone());
-        restore_coord.adopt_obs(obs);
-        let rstats = restore(&restore_coord, &space)?;
+        //    already recording into — so the whole restart, and everything
+        //    the rebuilt process does after it, lands in one place.
+        let mut coordinator = Coordinator::new(space.clone(), config.ckpt.clone());
+        coordinator.adopt_obs(obs);
+        let rstats = restore(&coordinator, &space)?;
         clock.advance(rstats.read_ns);
 
-        // 3. Decode the CRAC payload and replay the log against the fresh
-        //    runtime: allocations reappear at their original addresses,
-        //    streams/events/fat binaries are recreated.
-        let payload_bytes = crac_payload.ok_or(CracError::BadImage)?;
-        let payload = CracPayload::decode(payload_bytes).ok_or(CracError::BadImage)?;
-        let outcome = replay_log(
+        // 3. Decode the CRAC payload and fold its log over the fresh
+        //    runtime, one `apply` per entry: allocations reappear at their
+        //    original addresses, streams/events/fat binaries are recreated
+        //    under the application's original virtual handles.
+        let payload = crac_payload
+            .and_then(CracPayload::decode)
+            .ok_or(CracError::BadImage)?;
+        let replayed = replay_log(
             &payload.log,
             lower.runtime(),
             lower.trampolines(),
@@ -1089,7 +1003,9 @@ impl CracProcess {
         )?;
 
         // 4. Refill device/managed allocations from the staged copies and
-        //    release the staging buffers.
+        //    release the staging buffers — once the staging table has been
+        //    checked against the replayed mallocs and the restored memory.
+        payload.check_staging(&replayed.state.mallocs, &space)?;
         let mut refilled_bytes = 0u64;
         for staged in &payload.staging {
             space.sparse_copy(Addr(staged.ptr), Addr(staged.staging), staged.len)?;
@@ -1099,50 +1015,13 @@ impl CracProcess {
         let profile = &config.runtime.profile;
         clock.advance(profile.pcie_transfer_ns(refilled_bytes));
 
-        // 5. Rebuild the interposition state with the application's original
-        //    virtual handles bound to the new lower-half resources.
-        let state = Arc::new(Mutex::new(
-            "core.process.state",
-            CracState {
-                log: payload.log,
-                mallocs: payload.mallocs,
-                streams: outcome.streams,
-                events: outcome.events,
-                fatbins: outcome.fatbins,
-                kernels: outcome.kernels,
-                next_handle: payload.next_handle,
-                staging: Vec::new(),
-            },
-        ));
-        let replayed_calls = outcome.calls_replayed;
-
-        let heap = HostHeap::new(space.clone(), 4 << 20);
-        let mut coordinator = Coordinator::new(space.clone(), config.ckpt.clone());
-        // The restore's metrics (reader stages, retries, events) live in
-        // the restore coordinator's registry; carry it over so the
-        // rebuilt process's scrape includes its own restart.
-        coordinator.adopt_obs(restore_coord.obs());
-        coordinator.register_plugin(Arc::new(CracPlugin::new(
-            Arc::clone(lower.runtime()),
-            space.clone(),
-            Arc::clone(&state),
-        )));
-
+        // 5. The state the fold arrived at is the restarted process's.
         let restart_time_s = ns_to_s(clock.now() - restart_t0);
         Ok((
-            Self {
-                config,
-                space,
-                lower,
-                heap,
-                registry,
-                state,
-                coordinator,
-                last_stored_image: Mutex::new("core.process.last_stored_image", None),
-            },
+            Self::assemble(config, registry, space, lower, coordinator, replayed.state),
             RestartReport {
                 restart_time_s,
-                replayed_calls,
+                replayed_calls: replayed.calls_replayed,
                 refilled_bytes,
             },
         ))

@@ -2,7 +2,9 @@
 //!
 //! The payload travels inside the DMTCP checkpoint image, so it must be a
 //! self-contained byte string.  The format is deliberately simple: little-
-//! endian fixed-width integers and length-prefixed byte strings.
+//! endian fixed-width integers and length-prefixed byte strings.  Only the
+//! writing half lives here; the payload is read back with the workspace's one
+//! bounds-checked cursor, [`crac_dmtcp::ByteCursor`].
 
 /// Append-only encoder.
 #[derive(Default)]
@@ -35,101 +37,44 @@ impl Encoder {
         self
     }
 
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn string(&mut self, v: &str) -> &mut Self {
-        self.bytes(v.as_bytes())
-    }
-
     /// Consumes the encoder, returning the byte buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
 
-/// Sequential decoder over a byte slice.
-pub struct Decoder<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    /// Creates a decoder at offset zero.
-    pub fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    /// Remaining unread bytes.
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.data.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.u64()? as usize;
-        self.take(len)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?.to_vec()).ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crac_dmtcp::ByteCursor;
 
     #[test]
     fn round_trip_mixed_values() {
         let mut e = Encoder::new();
         e.u64(42)
             .u8(7)
-            .string("checkpoint")
+            .bytes(b"checkpoint")
             .bytes(&[1, 2, 3])
             .u64(u64::MAX);
         let data = e.finish();
-        let mut d = Decoder::new(&data);
+        let mut d = ByteCursor::new(&data);
         assert_eq!(d.u64(), Some(42));
         assert_eq!(d.u8(), Some(7));
-        assert_eq!(d.string().as_deref(), Some("checkpoint"));
+        assert_eq!(d.bytes(), Some(&b"checkpoint"[..]));
         assert_eq!(d.bytes(), Some(&[1u8, 2, 3][..]));
         assert_eq!(d.u64(), Some(u64::MAX));
-        assert_eq!(d.remaining(), 0);
+        assert!(d.at_end());
         assert_eq!(d.u64(), None);
-    }
-
-    #[test]
-    fn truncated_input_returns_none_not_panic() {
-        let mut e = Encoder::new();
-        e.string("this string is fairly long");
-        let data = e.finish();
-        let mut d = Decoder::new(&data[..10]);
-        assert_eq!(d.string(), None);
     }
 
     #[test]
     fn empty_strings_and_buffers_are_fine() {
         let mut e = Encoder::new();
-        e.string("").bytes(&[]);
+        e.bytes(b"").bytes(&[]);
         let data = e.finish();
-        let mut d = Decoder::new(&data);
-        assert_eq!(d.string().as_deref(), Some(""));
+        let mut d = ByteCursor::new(&data);
         assert_eq!(d.bytes(), Some(&[][..]));
+        assert_eq!(d.bytes(), Some(&[][..]));
+        assert!(d.at_end());
     }
 }

@@ -73,14 +73,6 @@ pub struct PrecopyConfig {
     /// little redundant page copying for fewer, longer runs (less per-run
     /// framing and hashing downstream).  `0` emits exact maximal runs.
     pub max_run_gap: u64,
-    /// Adaptive round scheduling: derive the effective round cap from the
-    /// observed re-dirty velocity instead of running `max_rounds` blindly.
-    /// After at least two delta rounds, stop iterating as soon as a round
-    /// streams *no fewer* bytes than the previous one — the workload is
-    /// re-dirtying at least as fast as the checkpoint copies, so further
-    /// rounds burn bandwidth without shrinking the stop window.
-    /// `max_rounds` remains the hard ceiling.
-    pub adaptive_rounds: bool,
 }
 
 impl Default for PrecopyConfig {
@@ -89,7 +81,6 @@ impl Default for PrecopyConfig {
             max_rounds: 4,
             convergence_pages: 16,
             max_run_gap: 1,
-            adaptive_rounds: false,
         }
     }
 }
@@ -119,9 +110,6 @@ pub struct PrecopyStats {
     /// the final pass.  New ranges are captured whole in the final pass;
     /// vanished ones keep their last pre-copied content in the image.
     pub layout_drift: usize,
-    /// `true` when [`PrecopyConfig::adaptive_rounds`] cut the delta loop
-    /// short because `round_bytes` stopped shrinking round-over-round.
-    pub adaptive_stop: bool,
 }
 
 /// Statistics of one restart operation.
@@ -317,7 +305,6 @@ impl Coordinator {
             max_rounds: 0,
             convergence_pages: 0,
             max_run_gap: 0,
-            adaptive_rounds: false,
         };
         let cfg = precopy.unwrap_or(&STW);
         let live = precopy.is_some();
@@ -428,23 +415,6 @@ impl Coordinator {
                     pre.rounds
                 ),
             );
-            // Adaptive scheduling: once a delta round stops shrinking
-            // relative to the previous one, the re-dirty velocity has
-            // caught up with the copy rate and more rounds cannot help.
-            if cfg.adaptive_rounds && pre.rounds >= 2 {
-                let prev = pre.round_bytes[pre.round_bytes.len() - 2];
-                if round_total >= prev {
-                    pre.adaptive_stop = true;
-                    self.obs.event(
-                        EventKind::PrecopyRound,
-                        format!(
-                            "round={} kind=adaptive_stop bytes={round_total} prev_bytes={prev}",
-                            pre.rounds
-                        ),
-                    );
-                    break;
-                }
-            }
         }
 
         // Final pass with the world stopped: capture the last delta as Arc
@@ -1133,7 +1103,6 @@ mod tests {
             max_rounds: 3,
             convergence_pages: 0,
             max_run_gap: 0,
-            adaptive_rounds: false,
         };
         let pre = coord.checkpoint_walk(&mut sink, Some(&cfg)).unwrap();
         assert!(
@@ -1147,56 +1116,6 @@ mod tests {
 
         // Memory froze at the quiesce and never changed after, so the
         // restored image must equal the live content byte for byte.
-        let fresh = SharedSpace::new_no_aslr();
-        coord.restart_into(&sink.inner.image, &fresh);
-        let mut live = vec![0u8; 8 * PAGE_SIZE as usize];
-        let mut restored = live.clone();
-        space.read_bytes(a, &mut live).unwrap();
-        fresh.read_bytes(a, &mut restored).unwrap();
-        assert_eq!(live, restored);
-    }
-
-    #[test]
-    fn precopy_adaptive_rounds_stop_when_redirty_velocity_plateaus() {
-        let space = SharedSpace::new_no_aslr();
-        let a = upper_mapping(&space, 8, "hot");
-        space.fill(a, 8 * PAGE_SIZE, 0x5A).unwrap();
-        let stopped = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut coord = Coordinator::new(space.clone(), CoordinatorConfig::default());
-        coord.register_plugin(Arc::new(StopWrites(Arc::clone(&stopped))));
-        // The mutator re-dirties one page per sink call — a steady-state
-        // velocity the delta rounds can never shrink below.
-        let mut sink = MutatingSink {
-            inner: ImageSink::default(),
-            space: space.clone(),
-            target: a,
-            stopped,
-            writes: 0,
-        };
-        let cfg = PrecopyConfig {
-            max_rounds: 10,
-            convergence_pages: 0,
-            max_run_gap: 0,
-            adaptive_rounds: true,
-        };
-        let pre = coord.checkpoint_walk(&mut sink, Some(&cfg)).unwrap();
-        assert!(
-            pre.adaptive_stop,
-            "a plateauing delta must trip the adaptive stop"
-        );
-        assert!(!pre.converged);
-        assert!(
-            pre.rounds < cfg.max_rounds,
-            "adaptive scheduling must stop well before the hard cap, got {} rounds",
-            pre.rounds
-        );
-        // The last two delta rounds demonstrate the plateau the stop keyed on.
-        let n = pre.round_bytes.len();
-        assert_eq!(n, pre.rounds + 2, "bulk + deltas + final");
-        assert!(pre.round_bytes[n - 2] >= pre.round_bytes[n - 3]);
-
-        // Cutting rounds short must not cost correctness: the restored
-        // image still equals the live (quiesced) memory byte for byte.
         let fresh = SharedSpace::new_no_aslr();
         coord.restart_into(&sink.inner.image, &fresh);
         let mut live = vec![0u8; 8 * PAGE_SIZE as usize];

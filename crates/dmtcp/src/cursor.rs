@@ -1,6 +1,7 @@
-//! A little-endian read cursor over a byte slice, shared by the checkpoint
-//! image codecs (this crate's [`crate::image`] and `crac-imagestore`'s
-//! on-disk formats).
+//! A little-endian read cursor over a byte slice, shared by every codec
+//! that parses bytes from an image (this crate's [`crate::image`],
+//! `crac-imagestore`'s on-disk and wire formats, `crac-core`'s plugin
+//! payload).
 
 /// Bounds-checked little-endian reader.  Every accessor returns `None` on
 /// truncation instead of panicking, so parsers can surface corruption as an
@@ -43,6 +44,12 @@ impl<'a> ByteCursor<'a> {
         Some(u128::from_le_bytes(self.take(16)?.try_into().ok()?))
     }
 
+    /// Reads a byte string prefixed with its length as a `u64`.
+    pub fn bytes(&mut self) -> Option<&'a [u8]> {
+        let len = usize::try_from(self.u64()?).ok()?;
+        self.take(len)
+    }
+
     /// Current byte offset from the start of the slice.
     pub fn pos(&self) -> usize {
         self.pos
@@ -71,5 +78,22 @@ mod tests {
         assert_eq!(c.u64(), Some(0x1122_3344_5566_7788));
         assert!(c.at_end());
         assert_eq!(c.u8(), None, "reads past the end return None");
+    }
+
+    #[test]
+    fn length_prefixed_bytes_are_bounds_checked() {
+        let mut buf = 3u64.to_le_bytes().to_vec();
+        buf.extend_from_slice(b"abc");
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        let mut c = ByteCursor::new(&buf);
+        assert_eq!(c.bytes(), Some(&b"abc"[..]));
+        assert_eq!(c.bytes(), Some(&[][..]), "an empty string is fine");
+        assert!(c.at_end());
+        // Every truncation — inside the prefix or inside the body — and a
+        // length that wraps `pos + len` are `None`, never a panic.
+        for cut in 0..11 {
+            assert_eq!(ByteCursor::new(&buf[..cut]).bytes(), None, "cut at {cut}");
+        }
+        assert_eq!(ByteCursor::new(&u64::MAX.to_le_bytes()).bytes(), None);
     }
 }

@@ -211,7 +211,7 @@ proptest! {
         let tcp = TcpTransport::connect(server.local_addr(), SECRET).unwrap();
         let (space, a, coord, mutator) = space_under_mutation(&initial, script);
 
-        let cfg = PrecopyConfig { max_rounds: 3, convergence_pages: 4, max_run_gap: 1, adaptive_rounds: false };
+        let cfg = PrecopyConfig { max_rounds: 3, convergence_pages: 4, max_run_gap: 1 };
         let (id, _pre, _landed) = checkpoint_to(&coord, to_peer(&tcp), Some(&cfg), |_| 0).unwrap();
         mutator.join().unwrap();
 

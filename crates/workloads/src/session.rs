@@ -1,15 +1,15 @@
 //! A mode-agnostic CUDA session so the same application code runs natively
 //! or under CRAC.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crac_sync::Mutex;
 
 use crac_addrspace::{Addr, SharedSpace};
+use crac_core::interpose::HandleTable;
 use crac_core::{CracConfig, CracEvent, CracKernel, CracProcess, CracStream, KernelRegistry};
-use crac_cudart::{CudaRuntime, FatBinaryHandle, FunctionHandle, MemcpyKind, RuntimeConfig};
-use crac_gpu::{EventId, KernelCost, LaunchDims, StreamId};
+use crac_cudart::{CudaRuntime, FatBinaryHandle, MemcpyKind, RuntimeConfig};
+use crac_gpu::{KernelCost, LaunchDims};
 
 /// Error type shared by both modes (stringly typed: the workloads only need
 /// to propagate, not to match).
@@ -21,8 +21,9 @@ pub type SessionResult<T> = Result<T, SessionError>;
 /// A running CUDA application, either native or under CRAC.
 ///
 /// Handles (`CracStream`, `CracEvent`, `CracKernel`) are reused for both
-/// modes; in native mode they are just indices into the session's own
-/// translation tables.
+/// modes, and so is the table that translates them: in native mode the
+/// session keeps a bare [`HandleTable`], under CRAC the process keeps one
+/// inside its replayable state.
 pub enum Session {
     /// Direct calls into the CUDA runtime — the paper's "native" baseline.
     Native(NativeSession),
@@ -35,15 +36,7 @@ pub struct NativeSession {
     runtime: Arc<CudaRuntime>,
     registry: Arc<KernelRegistry>,
     fatbin: FatBinaryHandle,
-    state: Mutex<NativeState>,
-}
-
-#[derive(Default)]
-struct NativeState {
-    kernels: BTreeMap<u64, FunctionHandle>,
-    streams: BTreeMap<u64, StreamId>,
-    events: BTreeMap<u64, EventId>,
-    next: u64,
+    handles: Mutex<HandleTable>,
 }
 
 impl NativeSession {
@@ -54,13 +47,7 @@ impl NativeSession {
             runtime,
             registry,
             fatbin,
-            state: Mutex::new(
-                "workloads.session.state",
-                NativeState {
-                    next: 1,
-                    ..Default::default()
-                },
-            ),
+            handles: Mutex::new("workloads.session.state", HandleTable::default()),
         }
     }
 }
@@ -152,15 +139,15 @@ impl Session {
                     .runtime
                     .register_function(n.fatbin, name, body)
                     .map_err(|e| e.to_string())?;
-                let mut st = n.state.lock();
-                st.next += 1;
-                let v = st.next;
-                st.kernels.insert(v, h);
+                let mut st = n.handles.lock();
+                let v = st.fresh_handle();
+                st.kernels.insert(v, (name.to_string(), 0, h));
                 Ok(CracKernel(v))
             }
             Session::Crac(p) => {
-                // A CRAC application registers its fat binary once; reuse a
-                // per-session fat binary keyed by a fixed virtual handle.
+                // One fat binary per kernel: each registration is a
+                // `__cudaRegisterFatBinary` + `__cudaRegisterFunction` pair
+                // in the call counts and in the replay log.
                 let fatbin = p.register_fat_binary();
                 p.register_function(fatbin, name).map_err(|e| e.to_string())
             }
@@ -221,7 +208,7 @@ impl Session {
     ) -> SessionResult<()> {
         match self {
             Session::Native(n) => {
-                let s = n.lookup_stream(stream)?;
+                let s = n.translate(|h| h.stream(stream))?;
                 n.runtime
                     .memcpy_async(dst, src, bytes, kind, s)
                     .map_err(|e| e.to_string())
@@ -253,7 +240,7 @@ impl Session {
     ) -> SessionResult<()> {
         match self {
             Session::Native(n) => {
-                let s = n.lookup_stream(stream)?;
+                let s = n.translate(|h| h.stream(stream))?;
                 n.runtime
                     .mem_prefetch_async(ptr, bytes, to_device, s)
                     .map_err(|e| e.to_string())
@@ -277,9 +264,8 @@ impl Session {
         match self {
             Session::Native(n) => {
                 let s = n.runtime.stream_create().map_err(|e| e.to_string())?;
-                let mut st = n.state.lock();
-                st.next += 1;
-                let v = st.next;
+                let mut st = n.handles.lock();
+                let v = st.fresh_handle();
                 st.streams.insert(v, s);
                 Ok(CracStream(v))
             }
@@ -291,8 +277,8 @@ impl Session {
     pub fn stream_destroy(&self, stream: CracStream) -> SessionResult<()> {
         match self {
             Session::Native(n) => {
-                let s = n.lookup_stream(stream)?;
-                n.state.lock().streams.remove(&stream.0);
+                let s = n.translate(|h| h.stream(stream))?;
+                n.handles.lock().streams.remove(&stream.0);
                 n.runtime.stream_destroy(s).map_err(|e| e.to_string())
             }
             Session::Crac(p) => p.stream_destroy(stream).map_err(|e| e.to_string()),
@@ -303,7 +289,7 @@ impl Session {
     pub fn stream_synchronize(&self, stream: CracStream) -> SessionResult<()> {
         match self {
             Session::Native(n) => {
-                let s = n.lookup_stream(stream)?;
+                let s = n.translate(|h| h.stream(stream))?;
                 n.runtime.stream_synchronize(s).map_err(|e| e.to_string())
             }
             Session::Crac(p) => p.stream_synchronize(stream).map_err(|e| e.to_string()),
@@ -315,9 +301,8 @@ impl Session {
         match self {
             Session::Native(n) => {
                 let e = n.runtime.event_create().map_err(|e| e.to_string())?;
-                let mut st = n.state.lock();
-                st.next += 1;
-                let v = st.next;
+                let mut st = n.handles.lock();
+                let v = st.fresh_handle();
                 st.events.insert(v, e);
                 Ok(CracEvent(v))
             }
@@ -329,8 +314,8 @@ impl Session {
     pub fn event_record(&self, event: CracEvent, stream: CracStream) -> SessionResult<()> {
         match self {
             Session::Native(n) => {
-                let e = n.lookup_event(event)?;
-                let s = n.lookup_stream(stream)?;
+                let e = n.translate(|h| h.event(event))?;
+                let s = n.translate(|h| h.stream(stream))?;
                 n.runtime.event_record(e, s).map_err(|e| e.to_string())
             }
             Session::Crac(p) => p.event_record(event, stream).map_err(|e| e.to_string()),
@@ -341,7 +326,7 @@ impl Session {
     pub fn event_synchronize(&self, event: CracEvent) -> SessionResult<()> {
         match self {
             Session::Native(n) => {
-                let e = n.lookup_event(event)?;
+                let e = n.translate(|h| h.event(event))?;
                 n.runtime.event_synchronize(e).map_err(|e| e.to_string())
             }
             Session::Crac(p) => p.event_synchronize(event).map_err(|e| e.to_string()),
@@ -352,8 +337,8 @@ impl Session {
     pub fn event_elapsed_ms(&self, start: CracEvent, end: CracEvent) -> SessionResult<f64> {
         match self {
             Session::Native(n) => {
-                let s = n.lookup_event(start)?;
-                let e = n.lookup_event(end)?;
+                let s = n.translate(|h| h.event(start))?;
+                let e = n.translate(|h| h.event(end))?;
                 n.runtime.event_elapsed_ms(s, e).map_err(|e| e.to_string())
             }
             Session::Crac(p) => p.event_elapsed_ms(start, end).map_err(|e| e.to_string()),
@@ -371,14 +356,8 @@ impl Session {
     ) -> SessionResult<()> {
         match self {
             Session::Native(n) => {
-                let f = n
-                    .state
-                    .lock()
-                    .kernels
-                    .get(&kernel.0)
-                    .copied()
-                    .ok_or_else(|| "unknown kernel handle".to_string())?;
-                let s = n.lookup_stream(stream)?;
+                let f = n.translate(|h| h.kernel(kernel))?;
+                let s = n.translate(|h| h.stream(stream))?;
                 n.runtime
                     .launch_kernel(f, dims, cost, args, s)
                     .map_err(|e| e.to_string())
@@ -414,25 +393,12 @@ impl NativeSession {
         self.runtime.device().uvm_stats()
     }
 
-    fn lookup_stream(&self, stream: CracStream) -> SessionResult<StreamId> {
-        if stream == CracStream::DEFAULT {
-            return Ok(StreamId::DEFAULT);
-        }
-        self.state
-            .lock()
-            .streams
-            .get(&stream.0)
-            .copied()
-            .ok_or_else(|| "unknown stream handle".to_string())
-    }
-
-    fn lookup_event(&self, event: CracEvent) -> SessionResult<EventId> {
-        self.state
-            .lock()
-            .events
-            .get(&event.0)
-            .copied()
-            .ok_or_else(|| "unknown event handle".to_string())
+    /// Translates virtual handles through the session's table.
+    fn translate<T>(
+        &self,
+        lookup: impl FnOnce(&HandleTable) -> Result<T, crac_core::CracError>,
+    ) -> SessionResult<T> {
+        lookup(&self.handles.lock()).map_err(|e| e.to_string())
     }
 }
 
