@@ -135,6 +135,15 @@ impl CracPlugin {
             state,
         }
     }
+
+    /// Unmaps every staging buffer and forgets the table: what `resume`
+    /// does, and what `pre_checkpoint` does first so that staging again
+    /// without a `resume` in between starts from an empty window.
+    fn release_staging(&self, st: &mut CracState) {
+        for s in st.staging.drain(..) {
+            let _ = self.space.munmap(Addr(s.staging), page_align_up(s.len));
+        }
+    }
 }
 
 impl DmtcpPlugin for CracPlugin {
@@ -150,6 +159,7 @@ impl DmtcpPlugin for CracPlugin {
         // 2. Drain the contents of every active device/managed allocation
         //    into upper-half staging buffers so DMTCP saves them.
         let mut st = self.state.lock();
+        self.release_staging(&mut st);
         let mut drained_bytes = 0u64;
         let to_drain: Vec<(Addr, u64)> = st
             .mallocs
@@ -208,10 +218,7 @@ impl DmtcpPlugin for CracPlugin {
     /// After the image is written the original process continues: release the
     /// staging copies.
     fn resume(&self) {
-        let mut st = self.state.lock();
-        for s in st.staging.drain(..) {
-            let _ = self.space.munmap(Addr(s.staging), page_align_up(s.len));
-        }
+        self.release_staging(&mut self.state.lock());
     }
 
     // Restart is orchestrated by `CracProcess::restart`, which replays the
@@ -340,6 +347,49 @@ mod tests {
         plugin.resume();
         assert!(state.lock().staging.is_empty());
         assert!(space.read_bytes(Addr(staged[0].staging), &mut buf).is_err());
+    }
+
+    /// Regression (PR 15 follow-up): a second `pre_checkpoint` with no
+    /// `resume` between mapped the window over the first call's buffers and
+    /// listed every allocation twice, so `check_staging` refused the image.
+    #[test]
+    fn pre_checkpoint_twice_stages_each_allocation_once() {
+        use crate::config::CracConfig;
+        use crate::process::CracProcess;
+        use crate::KernelRegistry;
+
+        let proc = CracProcess::launch(CracConfig::test("twice"), Arc::new(KernelRegistry::new()));
+        let dev = proc.malloc(8192).unwrap();
+        let managed = proc.malloc_managed(4096).unwrap();
+        proc.space().write_bytes(dev, &[0x5a; 128]).unwrap();
+        proc.space().write_bytes(managed, &[0xa5; 128]).unwrap();
+
+        let plugin = proc.crac_plugin();
+        plugin.pre_checkpoint();
+        plugin.pre_checkpoint();
+        let payload = CracPayload::decode(&plugin.payload()).unwrap();
+        assert_eq!(payload.staging.len(), 2, "one entry per active allocation");
+        assert_eq!(payload.staging[0].staging, STAGING_BASE);
+        assert_eq!(
+            payload.check_staging(&proc.state().mallocs, proc.space()),
+            Ok(())
+        );
+
+        // The coordinator's own pre_checkpoint is now the third in a row.
+        let image = proc.checkpoint().image;
+        assert!(proc.state().staging.is_empty(), "checkpoint resumed");
+        let (back, report) = CracProcess::restart(
+            &image,
+            CracConfig::test("twice"),
+            Arc::new(KernelRegistry::new()),
+        )
+        .unwrap();
+        assert_eq!(report.refilled_bytes, 8192 + 4096);
+        let mut buf = [0u8; 128];
+        back.space().read_bytes(dev, &mut buf).unwrap();
+        assert_eq!(buf, [0x5a; 128]);
+        back.space().read_bytes(managed, &mut buf).unwrap();
+        assert_eq!(buf, [0xa5; 128]);
     }
 
     #[test]

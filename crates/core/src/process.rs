@@ -336,6 +336,17 @@ impl CracProcess {
         self.coordinator.register_plugin(plugin);
     }
 
+    /// A second handle on this process's CRAC plugin state, for driving its
+    /// hooks outside a checkpoint.
+    #[cfg(test)]
+    pub(crate) fn crac_plugin(&self) -> CracPlugin {
+        CracPlugin::new(
+            Arc::clone(self.lower.runtime()),
+            self.space.clone(),
+            Arc::clone(&self.state),
+        )
+    }
+
     /// The lower-half CUDA runtime (read-only uses such as metrics; the
     /// application itself should go through the interposed methods).
     pub fn runtime(&self) -> &Arc<CudaRuntime> {

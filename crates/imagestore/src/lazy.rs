@@ -56,10 +56,9 @@ use crac_dmtcp::{Coordinator, LazyDeclaration, RegionDescriptor, RestartStats};
 use crac_obs::{Buckets, EventKind, Histogram};
 
 use crate::error::StoreError;
-use crate::pipeline::Gauge;
+use crate::pipeline::{effective_threads, Gauge};
 use crate::reader::{
-    build_fetch_plan, effective_read_threads, fetch_chunk, FetchPlan, ImageSource, ReadStats,
-    ReaderObs, StreamReader,
+    build_fetch_plan, fetch_chunk, FetchPlan, ImageSource, ReadStats, ReaderObs, StreamReader,
 };
 use crate::transport::with_transient_retry_observed;
 
@@ -436,7 +435,7 @@ impl<'a> LazyRestoreSession<'a> {
             payloads: manifest.payloads.clone(),
         };
 
-        let threads = effective_read_threads(plan.len());
+        let threads = effective_threads(0, plan.len());
         obs.run.gauge("crac_reader_threads").set(threads as u64);
         let fault_us = obs
             .events

@@ -25,7 +25,7 @@
 //! mid-transfer" switch.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,6 +42,11 @@ use crate::store::ImageStore;
 /// the connection — a client that dials and goes silent must not pin a
 /// thread forever.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bound on [`ServerHandle`]'s wake-up dial to its own listener at
+/// shutdown, and on how long the accept thread backs off after a failed
+/// `accept` (fd exhaustion, say) before trying again.
+const ACCEPT_WAKE_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Snapshot of a server's operation counters — the observable the TCP
 /// replication tests pin dedup down with (second replication of the same
@@ -230,12 +235,27 @@ impl ServerHandle {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The accept loop polls a nonblocking listener, so it observes
-        // the flag within one poll interval — no wake-up connection
-        // needed (a dial-back could itself fail under fd exhaustion and
-        // leave the join below hanging).
+        // The accept thread blocks in `accept()` (a dial costs a handshake,
+        // not a poll interval), so wake it: unpark it in case it is backing
+        // off after a failed accept, and dial the listener's own port so a
+        // blocked `accept()` returns — it re-checks the flag before serving
+        // anything.  A wake that cannot be delivered (no fd left for the
+        // dial, a full backlog) must not hang shutdown: the thread is then
+        // detached, and exits on the next connection or backoff tick.
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            t.thread().unpark();
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                // Bound to 0.0.0.0 / [::]: reach it over loopback.
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let woke = TcpStream::connect_timeout(&wake, ACCEPT_WAKE_TIMEOUT).is_ok();
+            if woke || t.is_finished() {
+                let _ = t.join();
+            }
         }
         // Sever live connections so blocked reads return.
         for (_, stream) in self.shared.live.lock().drain() {
@@ -276,35 +296,25 @@ pub fn serve(
     let conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
         Arc::new(Mutex::new("imagestore.net.server.conn_threads", Vec::new()));
 
-    // Nonblocking accept + poll: the loop observes the shutdown flag
-    // deterministically (no wake-up dial that could itself fail), and a
-    // persistent accept error (fd exhaustion, say) costs one short sleep
-    // per attempt instead of a hot spin.
-    listener.set_nonblocking(true)?;
-    const ACCEPT_POLL: Duration = Duration::from_millis(10);
+    // Blocking accept: a dial is served the moment it arrives.
+    // `ServerHandle::stop` sets the flag, then wakes this thread (see there);
+    // the flag is checked after every return from `accept`, so the wake-up
+    // connection — or a real one racing shutdown — is dropped unserved.
     let accept_shared = Arc::clone(&shared);
     let accept_threads = Arc::clone(&conn_threads);
     let accept_thread = std::thread::Builder::new()
         .name("crac-net-accept".into())
         .spawn(move || loop {
+            let accepted = listener.accept();
             if accept_shared.shutting_down.load(Ordering::SeqCst) {
                 return;
             }
-            let stream = match listener.accept() {
-                Ok((stream, _peer)) => stream,
-                Err(_) => {
-                    // WouldBlock (nothing pending) and real errors alike:
-                    // sleep one poll interval and re-check the flag.
-                    std::thread::sleep(ACCEPT_POLL);
-                    continue;
-                }
-            };
-            // Some platforms have accepted sockets inherit the
-            // listener's nonblocking mode; the per-connection threads
-            // want blocking reads.
-            if stream.set_nonblocking(false).is_err() {
+            let Ok((stream, _peer)) = accepted else {
+                // A persistent accept error (fd exhaustion, say) must not
+                // spin hot: back off until `stop` unparks us or a tick passes.
+                std::thread::park_timeout(ACCEPT_WAKE_TIMEOUT);
                 continue;
-            }
+            };
             let conn_shared = Arc::clone(&accept_shared);
             let handle = std::thread::Builder::new()
                 .name("crac-net-conn".into())

@@ -1,7 +1,8 @@
-//! Plumbing shared by the streaming writer and reader pipelines: the
+//! Plumbing shared by the streaming writer, reader and ship pipelines: the
 //! payload-bytes-in-flight gauge behind the `peak_buffered_bytes` stats,
-//! and the first-error-wins latch that turns a multi-threaded failure into
-//! one deterministic result while the remaining stages drain.
+//! the first-error-wins latch that turns a multi-threaded failure into
+//! one deterministic result while the remaining stages drain, and the one
+//! fan-out policy every worker pool sizes itself with.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,6 +59,31 @@ pub(crate) type ErrorSlot = Arc<Mutex<Option<StoreError>>>;
 
 pub(crate) fn latch(slot: &ErrorSlot, err: StoreError) {
     slot.lock().get_or_insert(err);
+}
+
+/// The one fan-out policy: how many workers a stage runs over `jobs`
+/// independent items.  `requested` is the caller's width (0 = one per
+/// core, at most 8 — the encoders, the restore's fetch workers and the
+/// lazy prefetchers are CPU-bound); never more workers than jobs, never
+/// fewer than one.
+pub(crate) fn effective_threads(requested: usize, jobs: usize) -> usize {
+    let hw = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let wanted = if requested > 0 { requested } else { hw.min(8) };
+    wanted.clamp(1, jobs.max(1))
+}
+
+/// Runs `work` on `threads` scoped threads — the caller's included, so a
+/// stage never has more threads alive than its width — and returns once
+/// all of them have.
+pub(crate) fn run_workers(threads: usize, work: impl Fn() + Sync) {
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(&work);
+        }
+        work();
+    });
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ use crate::codec::decode;
 use crate::error::StoreError;
 use crate::format::{ChunkFile, Manifest};
 use crate::hash::ContentHash;
-use crate::pipeline::{latch, ErrorSlot, Gauge};
+use crate::pipeline::{effective_threads, latch, ErrorSlot, Gauge};
 use crate::store::{ImageId, ImageStore};
 use crate::stream::{ChunkSource, MaterialiseSink, RegionSink};
 use crate::transport::{with_transient_retry_observed, RetryObs, Transport};
@@ -531,7 +531,7 @@ fn run_fetch_pipeline(
     label: &Path,
     obs: &ReaderObs,
 ) -> Result<(), StoreError> {
-    let threads = effective_read_threads(plan.len());
+    let threads = effective_threads(0, plan.len());
     obs.run.gauge("crac_reader_threads").set(threads as u64);
     let gauge = Gauge::default();
     let error: ErrorSlot = Arc::new(crac_sync::Mutex::new("imagestore.reader.error", None));
@@ -684,13 +684,6 @@ pub(crate) fn read_image(
     reader.stream_out(&mut sink)?;
     let image = sink.into_image(reader.taken_at_ns());
     Ok((image, reader.stats()))
-}
-
-pub(crate) fn effective_read_threads(chunks: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    hw.min(8).clamp(1, chunks.max(1))
 }
 
 /// CRC-checks, decodes and hash-verifies one chunk's *file bytes* (from

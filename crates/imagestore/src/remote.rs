@@ -24,9 +24,14 @@
 //!
 //! `replicate_to` and the sink ship through one loop
 //! (`ShipObs::negotiate_and_ship`): one `has_chunks` round trip per
-//! [`HAS_CHUNKS_BATCH`] hashes, one `put_chunk` per missing chunk, the same
-//! retry and accounting.  They differ only in where a missing chunk's file
-//! bytes come from — the chunk directory, or an encode of staged pages.
+//! [`HAS_CHUNKS_BATCH`] hashes, then the batch's missing chunks are put by
+//! a window of [`SHIP_WINDOW`] scoped workers over the transport's
+//! connection pool — each produces its own chunk-file bytes and puts them
+//! under the bounded retry, the first permanent error latches — and the
+//! next batch starts only when the window has drained.  They differ only
+//! in where a missing chunk's file bytes come from — the chunk directory,
+//! or an encode of staged pages.  Memory held: one staged batch plus one
+//! encoded chunk per worker.
 //!
 //! Restoring *from* a peer is not in this module: it is the one reader
 //! ([`crate::reader::StreamReader`]) opened over
@@ -40,22 +45,33 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crac_addrspace::PageRun;
 use crac_dmtcp::RegionDescriptor;
-use crac_obs::{Counter, EventKind, ObsRegistry};
+use crac_obs::{Buckets, Counter, EventKind, Histogram, ObsRegistry, Span};
+use crac_sync::Mutex;
 
 use crate::chunk::{ManifestBuilder, PackedChunk};
 use crate::codec::{encode, Compression};
 use crate::error::StoreError;
 use crate::format::{ChunkFile, Manifest};
 use crate::hash::ContentHash;
-use crate::pipeline::Gauge;
+use crate::pipeline::{effective_threads, latch, run_workers, ErrorSlot, Gauge};
 use crate::reader::verify_chunk_file_bytes;
 use crate::store::{ImageId, ImageStore};
 use crate::stream::ChunkSink;
 use crate::transport::{with_transient_retry_observed, RetryObs, Transport, HAS_CHUNKS_BATCH};
+
+/// `put_chunk`s the ship loop keeps in flight — its width under the one
+/// fan-out policy ([`effective_threads`]), deliberately not a core count: a
+/// put spends its time waiting on the *peer's* flush, so the window is sized
+/// to let the peer's concurrent `fsync`s share journal commits (sweep on a
+/// 2-core box in CHANGES.md, PR 16).  At most
+/// [`crate::net::TcpTransport::DEFAULT_MAX_IDLE`], so every connection the
+/// window opens is pooled afterwards.
+pub const SHIP_WINDOW: usize = 4;
 
 /// What one replication (or remote-streamed checkpoint) cost.
 #[derive(Clone, Copy, Debug, Default)]
@@ -121,6 +137,8 @@ struct ShipObs {
     raw_chunk_bytes: Counter,
     bytes_shipped: Counter,
     has_batches: Counter,
+    /// Per-put busy time of a ship worker, retries included.
+    stage_put: Histogram,
 }
 
 impl ShipObs {
@@ -133,6 +151,7 @@ impl ShipObs {
             raw_chunk_bytes: run.counter("crac_remote_raw_chunk_bytes"),
             bytes_shipped: run.counter("crac_remote_bytes_shipped"),
             has_batches: run.counter("crac_remote_has_batches"),
+            stage_put: run.histogram("crac_remote_stage_put_us", Buckets::LATENCY_US),
             retries: AtomicUsize::new(0),
             run,
             events,
@@ -158,12 +177,14 @@ impl ShipObs {
     /// which of `hashes` (distinct, at most [`HAS_CHUNKS_BATCH`]) it is
     /// missing, ship exactly those, count the rest as dedup hits.
     /// `file_bytes(i)` produces the verbatim chunk-file bytes of
-    /// `hashes[i]`; it is only called for chunks that travel.
+    /// `hashes[i]`; it is only called for chunks that travel, by the worker
+    /// that puts them.  Returns only once every put of the batch has
+    /// returned, so the caller's `put_manifest` is ordered after all of them.
     fn negotiate_and_ship(
         &self,
         transport: &dyn Transport,
         hashes: &[ContentHash],
-        mut file_bytes: impl FnMut(usize) -> Result<Vec<u8>, StoreError>,
+        file_bytes: impl Fn(usize) -> Result<Vec<u8>, StoreError> + Sync,
     ) -> Result<(), StoreError> {
         if hashes.is_empty() {
             return Ok(());
@@ -180,22 +201,47 @@ impl ShipObs {
                 hashes.len()
             )));
         }
-        let (mut shipped, mut shipped_bytes, mut deduped) = (0usize, 0u64, 0usize);
-        for (i, (&hash, is_present)) in hashes.iter().zip(present).enumerate() {
-            if is_present {
-                self.chunks_deduped.inc();
-                deduped += 1;
-                continue;
+        let missing: Vec<usize> = (0..hashes.len()).filter(|&i| !present[i]).collect();
+        let deduped = hashes.len() - missing.len();
+        self.chunks_deduped.add(deduped as u64);
+
+        let threads = effective_threads(SHIP_WINDOW, missing.len());
+        self.run
+            .gauge("crac_remote_ship_threads")
+            .set(threads as u64);
+        // The latch is only ever taken to read or set it — never across a
+        // transport call.
+        let error: ErrorSlot = Arc::new(Mutex::new("imagestore.remote.ship_error", None));
+        let next = AtomicUsize::new(0);
+        let bytes_before = self.bytes_shipped.get();
+        let work = || {
+            while error.lock().is_none() {
+                // Relaxed: the counter only hands out indices (the scope's
+                // join orders everything else).
+                let Some(&i) = missing.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    return;
+                };
+                let put = file_bytes(i).and_then(|bytes| {
+                    let _stage = Span::enter(&self.stage_put);
+                    self.with_retry("put_chunk", || transport.put_chunk(hashes[i], &bytes))?;
+                    Ok(bytes.len() as u64)
+                });
+                match put {
+                    Ok(len) => {
+                        self.chunks_shipped.inc();
+                        self.bytes_shipped.add(len);
+                    }
+                    Err(e) => latch(&error, e),
+                }
             }
-            let bytes = file_bytes(i)?;
-            self.with_retry("put_chunk", || transport.put_chunk(hash, &bytes))?;
-            self.chunks_shipped.inc();
-            self.bytes_shipped.add(bytes.len() as u64);
-            shipped += 1;
-            shipped_bytes += bytes.len() as u64;
+        };
+        run_workers(threads, work);
+        if let Some(e) = error.lock().take() {
+            return Err(e);
         }
         // Outcomes surface per batch, not per chunk, so a large image
         // cannot flood the bounded event ring.
+        let (shipped, shipped_bytes) = (missing.len(), self.bytes_shipped.get() - bytes_before);
         let batch = self.has_batches.get();
         if shipped > 0 {
             self.events.event(
@@ -349,12 +395,12 @@ impl<'t> RemoteChunkSink<'t> {
     /// Negotiates and ships the staged batch; a chunk is only encoded once
     /// the peer said it is missing.
     fn ship_staged(&mut self) -> Result<(), StoreError> {
-        let mut staged = std::mem::take(&mut self.staged);
+        let staged = std::mem::take(&mut self.staged);
         let hashes: Vec<ContentHash> = staged.iter().map(|c| c.hash).collect();
         let compression = self.compression;
         self.obs.negotiate_and_ship(self.transport, &hashes, |i| {
-            let raw = std::mem::take(&mut staged[i].raw);
-            let (encoding, encoded) = encode(&raw, compression);
+            let raw = &staged[i].raw;
+            let (encoding, encoded) = encode(raw, compression);
             let file = ChunkFile {
                 encoding,
                 raw_len: raw.len() as u64,

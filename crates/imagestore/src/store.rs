@@ -24,6 +24,20 @@
 //! materialised [`ImageStore::write_image`] is a convenience wrapper that
 //! drives a [`CheckpointImage`] through the same pipeline.
 //!
+//! **Durability**, stated once.  A chunk is visible under its content-hash
+//! name only with durable bytes (temp file → `fsync` → rename, on every
+//! path).  The rename itself becomes durable with the next sync of the chunk
+//! directory, and *every* manifest publication performs that sync first iff
+//! a chunk was renamed since the last one
+//! ([`ImageStore::sync_chunk_dir_before_manifest`] — the one place that
+//! decides; `crac_store_chunk_dir_syncs` counts it).  After a crash:
+//!
+//! | acknowledged call     | guarantee                                                                                   |
+//! |-----------------------|---------------------------------------------------------------------------------------------|
+//! | `put_chunk`           | the chunk is whole or absent, never torn; an absent one is re-shipped by the next negotiation |
+//! | `put_manifest`        | the manifest and every chunk it names are durable: the image restores                       |
+//! | `stream_image` return | same as `put_manifest`, including chunks it only deduplicated against                       |
+//!
 //! **Deleting** ([`ImageStore::delete_image`], [`ImageStore::retain_last`])
 //! reclaims chunks by reachability: after the doomed manifests are gone,
 //! every chunk no surviving manifest references is removed — including
@@ -129,6 +143,12 @@ pub struct ImageStore {
     /// sweep (delete returns `Busy`) or after it (and sees the post-sweep
     /// index), never in between.
     writer_gate: RwLock<()>,
+    /// Whether a chunk was renamed into the chunk directory since its last
+    /// sync (the module docs' durability rule).  Set at open: a crashed
+    /// predecessor's unsynced renames look like any other chunk.  A mutex,
+    /// not an atomic: a publisher that finds it clear must not pass while
+    /// another publisher's sync is still running.
+    chunk_dir_dirty: Mutex<bool>,
     /// The store's observability registry: every write/read pipeline run
     /// folds its metrics in here, GC sweeps and lock steals record events,
     /// and the TCP server's `Stats` op renders it.  Swappable
@@ -209,6 +229,7 @@ impl ImageStore {
             )),
             read_only,
             writer_gate: RwLock::new("imagestore.store.writer_gate", ()),
+            chunk_dir_dirty: Mutex::new("imagestore.store.chunk_dir_dirty", true),
             obs: Mutex::new("imagestore.store.obs", ObsRegistry::new()),
         })
     }
@@ -512,9 +533,9 @@ impl ImageStore {
     /// present.
     ///
     /// This is how replicated chunks enter a store: the bytes appear under
-    /// their content-hash name only after full verification and an atomic
-    /// rename, so a crashed or lying sender can never leave a torn chunk
-    /// visible.
+    /// their content-hash name only after full verification, an `fsync` and
+    /// an atomic rename, so a crashed or lying sender can never leave a torn
+    /// chunk visible.  The directory sync is the manifest publisher's.
     pub(crate) fn ingest_chunk_file(
         &self,
         hash: ContentHash,
@@ -551,9 +572,28 @@ impl ImageStore {
                 format!("replicated chunk hashes to {actual}, expected {hash}"),
             ));
         }
-        crate::writer::write_atomically(&path, file_bytes)?;
+        crate::writer::write_durably(&path, file_bytes)?;
+        self.chunk_renamed();
         self.commit_chunks(&[hash]);
         Ok(true)
+    }
+
+    /// Records that a chunk file was renamed into the chunk directory.
+    pub(crate) fn chunk_renamed(&self) {
+        *self.chunk_dir_dirty.lock() = true;
+    }
+
+    /// The durability rule's one decision: called by every manifest
+    /// publisher before it writes the manifest, syncs the chunk directory
+    /// iff a chunk was renamed into it since the last sync — whoever
+    /// renamed it, so chunks a manifest merely deduplicated against are
+    /// covered too.
+    pub(crate) fn sync_chunk_dir_before_manifest(&self) {
+        let mut dirty = self.chunk_dir_dirty.lock();
+        if std::mem::take(&mut *dirty) {
+            crate::writer::sync_dir(&self.chunks_dir);
+            self.obs().counter("crac_store_chunk_dir_syncs").inc();
+        }
     }
 
     /// Adopts a manifest replicated from another store: allocates a fresh
@@ -626,6 +666,7 @@ impl ImageStore {
         let id = self.allocate_image_id();
         manifest.image_id = id;
         manifest.parent = parent;
+        self.sync_chunk_dir_before_manifest();
         crate::writer::write_atomically(&self.image_path(id), &manifest.to_bytes())?;
         Ok(id)
     }

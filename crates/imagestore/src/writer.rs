@@ -58,7 +58,7 @@ use crate::codec::{encode, Compression, Encoding};
 use crate::error::StoreError;
 use crate::format::{ChunkFile, Manifest};
 use crate::hash::ContentHash;
-use crate::pipeline::{latch, ErrorSlot, Gauge};
+use crate::pipeline::{effective_threads, latch, run_workers, ErrorSlot, Gauge};
 use crate::store::{ImageId, ImageStore, SharedIndex};
 use crate::stream::ChunkSink;
 
@@ -257,7 +257,7 @@ impl<'s> StreamWriter<'s> {
                 return Err(StoreError::UnknownImage(parent));
             }
         }
-        let threads = effective_threads(opts.threads);
+        let threads = effective_threads(opts.threads, usize::MAX);
         let gauge = Arc::new(Gauge::default());
         let error: ErrorSlot = Arc::new(Mutex::new("imagestore.writer.error", None));
         let run = ObsRegistry::new();
@@ -402,16 +402,21 @@ impl<'s> StreamWriter<'s> {
         // find clean pages — the per-chunk fsync stall the synchronous
         // writer paid is gone from the overlap window entirely.
         let pending = std::mem::take(&mut *self.pending_publish.lock());
+        let stage = Span::enter(
+            &self
+                .run
+                .histogram("crac_writer_stage_publish_us", Buckets::LATENCY_US),
+        );
         if !pending.is_empty() {
-            let _stage = Span::enter(
-                &self
-                    .run
-                    .histogram("crac_writer_stage_publish_us", Buckets::LATENCY_US),
-            );
             publish_batch(&pending, self.threads + 1, &self.error);
             self.check_failed()?;
-            sync_dir(self.store.chunks_dir());
+            self.store.chunk_renamed();
         }
+        // A write that dedups entirely against chunks a peer just shipped
+        // renames nothing itself, yet its manifest names them: the store's
+        // rule decides, not this batch.
+        self.store.sync_chunk_dir_before_manifest();
+        stage.finish();
 
         // The encoder and I/O threads already tallied written/dedup counts
         // into the run registry; the outcome loop only has to collect the
@@ -649,14 +654,6 @@ fn spawn_io(
     })
 }
 
-fn effective_threads(requested: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let t = if requested > 0 { requested } else { hw.min(8) };
-    t.max(1)
-}
-
 /// A unique temp name next to `path` — unique per process *and* per call:
 /// two concurrent writers racing on the same content-addressed chunk must
 /// not interleave into one shared `.tmp`; each renames a complete file, and
@@ -718,27 +715,29 @@ fn publish_batch(pending: &[(PathBuf, PathBuf)], workers: usize, error: &ErrorSl
             }
         }
     };
-    std::thread::scope(|s| {
-        for _ in 1..workers.min(pending.len()) {
-            s.spawn(work);
-        }
-        work();
-    });
+    run_workers(effective_threads(workers, pending.len()), work);
 }
 
 /// Best-effort fsync of a directory, so renames into it survive a crash
 /// (not all platforms allow dir fsync).
-fn sync_dir(dir: &Path) {
+pub(crate) fn sync_dir(dir: &Path) {
     if let Ok(d) = fs::File::open(dir) {
         let _ = d.sync_all();
     }
 }
 
-/// Writes `bytes` to `path` through temp file + fsync + rename in one call
-/// (used for manifests, which are published the moment they are written).
-pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// Both stages in one call: `bytes` appear at `path` only once durable.
+/// The rename itself is not — syncing the directory is the caller's job
+/// (per manifest for chunk files: [`ImageStore::sync_chunk_dir_before_manifest`]).
+pub(crate) fn write_durably(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = write_tmp(path, bytes)?;
-    publish_tmp(&tmp, path)?;
+    publish_tmp(&tmp, path)
+}
+
+/// [`write_durably`] plus the directory sync — for manifests, which are
+/// published the moment they are written.
+pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    write_durably(path, bytes)?;
     if let Some(dir) = path.parent() {
         sync_dir(dir);
     }
