@@ -1,7 +1,9 @@
 //! One function per table/figure of the paper's evaluation.
 
+use crac_addrspace::{page_align_up, Addr, Half, MapRequest, SharedSpace, PAGE_SIZE};
 use crac_core::CracConfig;
-use crac_cudart::RuntimeConfig;
+use crac_cudart::{Arena, ArenaKind, RuntimeConfig};
+use crac_dmtcp::{Coordinator, CoordinatorConfig};
 use crac_workloads::apps::{all_rodinia, hpgmg, hypre, lulesh, unified_memory_streams, AppSpec};
 use crac_workloads::kernels::registry;
 use crac_workloads::runner::{run_crac, run_crac_with_checkpoint, run_native};
@@ -92,6 +94,14 @@ pub struct Table1Row {
     pub stream_range: String,
 }
 
+/// The harness's one error policy: a failed experiment run aborts the
+/// sweep loudly, naming the step.
+#[track_caller]
+fn must<T, E: std::fmt::Debug>(result: Result<T, E>, step: &str) -> T {
+    // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
+    result.unwrap_or_else(|e| panic!("{step} failed: {e:?}"))
+}
+
 fn crac_cfg(name: &str, scale: f64) -> CracConfig {
     let mut cfg = CracConfig::v100(name);
     // The simulated runs are scaled down; scale the one-time DMTCP startup
@@ -101,10 +111,11 @@ fn crac_cfg(name: &str, scale: f64) -> CracConfig {
 }
 
 fn overhead_row(spec: &AppSpec, scale: f64) -> OverheadRow {
-    // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-    let native = run_native(spec, RuntimeConfig::v100(), scale).expect("native run");
-    // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-    let crac = run_crac(spec, crac_cfg(spec.name, scale), scale).expect("CRAC run");
+    let native = must(run_native(spec, RuntimeConfig::v100(), scale), "native run");
+    let crac = must(
+        run_crac(spec, crac_cfg(spec.name, scale), scale),
+        "CRAC run",
+    );
     OverheadRow {
         name: spec.name.to_string(),
         native_s: native.elapsed_s,
@@ -115,9 +126,10 @@ fn overhead_row(spec: &AppSpec, scale: f64) -> OverheadRow {
 }
 
 fn ckpt_row(spec: &AppSpec, scale: f64) -> CkptRow {
-    let result = run_crac_with_checkpoint(spec, crac_cfg(spec.name, scale), scale, 0.5)
-        // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-        .expect("CRAC checkpoint run");
+    let result = must(
+        run_crac_with_checkpoint(spec, crac_cfg(spec.name, scale), scale, 0.5),
+        "CRAC checkpoint run",
+    );
     CkptRow {
         name: spec.name.to_string(),
         ckpt_s: result.ckpt_time_s,
@@ -132,12 +144,8 @@ pub fn table1(scale_mult: f64) -> Vec<Table1Row> {
     let mut rows = Vec::new();
     // A representative Rodinia application (Hotspot) for the suite's CPS.
     let rodinia = all_rodinia();
-    let hotspot = rodinia
-        .iter()
-        .find(|s| s.name == "Hotspot")
-        // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-        .unwrap()
-        .clone();
+    let hotspot = rodinia.iter().find(|s| s.name == "Hotspot");
+    let hotspot = must(hotspot.ok_or("absent"), "the Hotspot spec").clone();
     let specs: Vec<(AppSpec, &str, &str)> = vec![
         (hotspot, "Rodinia", "—"),
         (lulesh(), "Lulesh", "2-32"),
@@ -148,8 +156,10 @@ pub fn table1(scale_mult: f64) -> Vec<Table1Row> {
     ];
     for (spec, family, range) in specs {
         let scale = spec.default_scale * scale_mult;
-        // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-        let r = run_native(&spec, RuntimeConfig::v100(), scale).expect("native run");
+        let r = must(
+            run_native(&spec, RuntimeConfig::v100(), scale),
+            "native run",
+        );
         rows.push(Table1Row {
             name: family.to_string(),
             uvm: spec.uses_uvm,
@@ -214,11 +224,12 @@ pub fn fig4_simple_streams(scale_mult: f64) -> Vec<Fig4Row> {
         };
         let scale = 0.02 * scale_mult;
         let native_session = Session::native(RuntimeConfig::v100(), registry());
-        // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-        let native = run_simple_streams(&native_session, config, scale).expect("native run");
+        let native = must(
+            run_simple_streams(&native_session, config, scale),
+            "native run",
+        );
         let crac_session = Session::crac(crac_cfg("simpleStreams", scale), registry());
-        // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-        let crac = run_simple_streams(&crac_session, config, scale).expect("CRAC run");
+        let crac = must(run_simple_streams(&crac_session, config, scale), "CRAC run");
         rows.push(Fig4Row {
             niterations: niter,
             native_total_s: native.total_runtime_s,
@@ -277,15 +288,15 @@ pub fn fig6_fsgsbase(scale_mult: f64) -> Vec<Fig6Row> {
             let mut spec = spec.clone();
             spec.target_native_s *= 4.0;
             let scale = spec.default_scale * scale_mult * 0.5;
-            // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-            let native = run_native(&spec, RuntimeConfig::k600(), scale).expect("native run");
+            let native = must(
+                run_native(&spec, RuntimeConfig::k600(), scale),
+                "native run",
+            );
             let mut cfg_unpatched = CracConfig::k600(spec.name);
             cfg_unpatched.dmtcp_startup_ns = (cfg_unpatched.dmtcp_startup_ns as f64 * scale) as u64;
             let cfg_fsgs = cfg_unpatched.clone().with_fsgsbase();
-            // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-            let unpatched = run_crac(&spec, cfg_unpatched, scale).expect("CRAC run");
-            // crac-lint: allow(no-unwrap) — bench harness: a failed experiment run must abort the sweep loudly
-            let fsgs = run_crac(&spec, cfg_fsgs, scale).expect("CRAC run");
+            let unpatched = must(run_crac(&spec, cfg_unpatched, scale), "CRAC run");
+            let fsgs = must(run_crac(&spec, cfg_fsgs, scale), "CRAC run");
             let o_unpatched = (unpatched.elapsed_s - native.elapsed_s) / native.elapsed_s * 100.0;
             let o_fsgs = (fsgs.elapsed_s - native.elapsed_s) / native.elapsed_s * 100.0;
             Fig6Row {
@@ -301,12 +312,152 @@ pub fn fig6_fsgsbase(scale_mult: f64) -> Vec<Fig6Row> {
         .collect()
 }
 
+/// One drain strategy of the §3.2.3 ablation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DrainRow {
+    /// `"active mallocs (CRAC)"` or `"whole arena (naive)"`.
+    pub strategy: &'static str,
+    /// Address ranges drained.
+    pub ranges: usize,
+    /// Bytes of staging the drained ranges occupy (the image's share).
+    pub staged_bytes: u64,
+    /// Bytes `sparse_copy` actually moved (resident pages only).
+    pub copied_bytes: u64,
+}
+
+/// The §3.2.3 ablation: draining only the active allocations (CRAC) vs
+/// every chunk of the library's arena (naive), over the same arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DrainAblation {
+    /// CRAC's drain first, the naive one second.
+    pub rows: [DrainRow; 2],
+    /// Allocations freed before the checkpoint.
+    pub freed_allocations: usize,
+    /// Their bytes, as the arena accounted them.
+    pub freed_bytes: u64,
+}
+
+/// §3.2.3: 32 device allocations of 256 KiB filling one arena chunk, a
+/// page of each written, every other one freed, then drained both ways
+/// into fresh upper-half staging.
+pub fn ablation_drain() -> DrainAblation {
+    const ALLOCS: u64 = 32;
+    const LEN: u64 = 256 << 10;
+    let space = SharedSpace::new_no_aslr();
+    let mut arena = Arena::new(ArenaKind::Device, space.clone(), ALLOCS * LEN);
+    let mut ptrs = Vec::new();
+    for i in 0..ALLOCS {
+        let ptr = must(arena.alloc(LEN), "arena alloc");
+        must(space.write_bytes(ptr, &[i as u8; 4096]), "fill");
+        ptrs.push(ptr);
+    }
+    let freed: Vec<u64> = ptrs
+        .iter()
+        .skip(1)
+        .step_by(2)
+        .map(|p| must(arena.free(*p), "arena free"))
+        .collect();
+    let drain = |strategy, ranges: &[(Addr, u64)]| {
+        let staged_bytes: u64 = ranges.iter().map(|(_, len)| page_align_up(*len)).sum();
+        let staging = must(
+            space.mmap(MapRequest::anon(staged_bytes, Half::Upper, "staging")),
+            "staging mmap",
+        );
+        let mut off = 0;
+        let mut copied_bytes = 0;
+        for (ptr, len) in ranges {
+            copied_bytes += must(space.sparse_copy(staging + off, *ptr, *len), "drain");
+            off += page_align_up(*len);
+        }
+        must(space.munmap(staging, staged_bytes), "staging munmap");
+        DrainRow {
+            strategy,
+            ranges: ranges.len(),
+            staged_bytes,
+            copied_bytes,
+        }
+    };
+    DrainAblation {
+        rows: [
+            drain("active mallocs (CRAC)", &arena.active_allocations()),
+            drain("whole arena (naive)", arena.chunks()),
+        ],
+        freed_allocations: freed.len(),
+        freed_bytes: freed.iter().sum(),
+    }
+}
+
+/// One layout of the §3.2.2 ablation, as `Coordinator::checkpoint(0)` saw it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RegionsRow {
+    /// `"fragmented"` or `"consolidated"`.
+    pub layout: &'static str,
+    /// Regions in the address space the checkpoint walked.
+    pub space_regions: usize,
+    /// Regions saved in the image.
+    pub image_regions: usize,
+    /// Logical image bytes (regions + payloads).
+    pub image_bytes: u64,
+    /// Page bytes the image stores.
+    pub stored_bytes: u64,
+}
+
+/// §3.2.2: 512 two-page upper-half mappings, every third one written,
+/// checkpointed as they are and after `consolidate_upper_half`.
+pub fn ablation_regions() -> [RegionsRow; 2] {
+    let row = |layout: &'static str, consolidate: bool| {
+        let space = SharedSpace::new_no_aslr();
+        for i in 0..512u64 {
+            let addr = must(
+                space.mmap(MapRequest::anon(2 * PAGE_SIZE, Half::Upper, "frag")),
+                "mmap",
+            );
+            if i % 3 == 0 {
+                must(space.write_bytes(addr, &[i as u8; 64]), "write");
+            }
+        }
+        if consolidate {
+            space.with_mut(|s| s.consolidate_upper_half());
+        }
+        let (image, _) =
+            Coordinator::new(space.clone(), CoordinatorConfig::default()).checkpoint(0);
+        RegionsRow {
+            layout,
+            space_regions: space.with(|s| s.region_count()),
+            image_regions: image.regions.len(),
+            image_bytes: image.logical_size(),
+            stored_bytes: image.stored_size(),
+        }
+    };
+    [row("fragmented", false), row("consolidated", true)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // These exercise each experiment function at a very small scale so the
-    // full harness is known-runnable; the figures binary runs them bigger.
+    // full harness is known-runnable; the `experiments` report runs them
+    // bigger.
+
+    #[test]
+    fn ablations_show_what_each_optimisation_saves() {
+        let d = ablation_drain();
+        let [crac, naive] = d.rows;
+        assert!(crac.staged_bytes < naive.staged_bytes);
+        assert_eq!(naive.staged_bytes - crac.staged_bytes, d.freed_bytes);
+        // One written page per allocation: the naive drain also moves the
+        // freed allocations' pages.
+        assert_eq!(
+            naive.copied_bytes - crac.copied_bytes,
+            d.freed_allocations as u64 * PAGE_SIZE
+        );
+
+        let [frag, cons] = ablation_regions();
+        assert!(cons.space_regions < frag.space_regions);
+        assert_eq!(cons.stored_bytes, frag.stored_bytes);
+        assert_eq!(cons.image_bytes, frag.image_bytes);
+    }
 
     #[test]
     fn table1_reports_all_six_families() {

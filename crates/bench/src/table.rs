@@ -1,113 +1,62 @@
-//! Minimal fixed-width text-table formatting for harness output.
+//! Minimal markdown-table formatting for the `experiments` report.
 
-/// A simple text table: header row plus data rows, rendered with
-/// space-padded columns (markdown-compatible when `markdown` is set).
-#[derive(Clone, Debug, Default)]
-pub struct TextTable {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl TextTable {
-    /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(header: Vec<S>) -> Self {
-        Self {
-            header: header.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
+/// Renders a GitHub-flavoured markdown table, every column padded to its
+/// widest cell so the source reads as a table too.
+///
+/// # Panics
+///
+/// If a row does not have one cell per header column.
+pub fn markdown_table(header: &[&str], rows: impl IntoIterator<Item = Vec<String>>) -> String {
+    let header: Vec<String> = header.iter().map(|h| h.to_string()).collect();
+    let rows: Vec<Vec<String>> = rows.into_iter().collect();
+    let mut w: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
+    for row in &rows {
+        assert_eq!(row.len(), w.len(), "row arity mismatch");
+        for (width, cell) in w.iter_mut().zip(row) {
+            *width = (*width).max(cell.chars().count());
         }
     }
-
-    /// Appends a row (must have the same arity as the header).
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) -> &mut Self {
-        let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
-        assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
-        self.rows.push(cells);
-        self
+    let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
+    let pad = |cells: &[String]| {
+        cells
+            .iter()
+            .zip(&w)
+            .map(|(c, width)| format!("{c:<width$}"))
+            .collect()
+    };
+    let mut out = line(pad(&header));
+    out.push_str(&line(w.iter().map(|width| "-".repeat(*width)).collect()));
+    for row in &rows {
+        out.push_str(&line(pad(row)));
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    fn widths(&self) -> Vec<usize> {
-        let mut w: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                w[i] = w[i].max(c.len());
-            }
-        }
-        w
-    }
-
-    /// Renders the table as plain text.
-    pub fn render(&self) -> String {
-        let w = self.widths();
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], w: &[usize]| -> String {
-            let mut line = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                line.push_str(&format!("{:<width$}  ", c, width = w[i]));
-            }
-            line.trim_end().to_string()
-        };
-        out.push_str(&fmt_row(&self.header, &w));
-        out.push('\n');
-        out.push_str(&"-".repeat(w.iter().sum::<usize>() + 2 * w.len()));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &w));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the table as GitHub-flavoured markdown.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.header
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn cells(row: &[&str]) -> Vec<String> {
+        row.iter().map(|c| c.to_string()).collect()
+    }
+
     #[test]
     fn renders_aligned_text_and_markdown() {
-        let mut t = TextTable::new(vec!["app", "native (s)", "CRAC (s)"]);
-        t.row(vec!["BFS", "2.50", "2.53"]);
-        t.row(vec!["Gaussian", "70.00", "70.41"]);
-        let text = t.render();
-        assert!(text.contains("BFS"));
-        assert!(text.lines().count() >= 4);
-        let md = t.render_markdown();
-        assert!(md.starts_with("| app |"));
-        assert_eq!(md.lines().count(), 4);
-        assert_eq!(t.len(), 2);
+        let rows = [["BFS", "2.50", "2.53"], ["Gaussian", "70.00", "70.41"]];
+        let md = markdown_table(
+            &["app", "native (s)", "CRAC (s)"],
+            rows.iter().map(|r| cells(r)),
+        );
+        assert!(md.starts_with("| app      | native (s) |"));
+        assert!(md.contains("| BFS      | 2.50       | 2.53     |"));
+        // Header, rule and two rows, all as wide as the header.
+        let widths: Vec<usize> = md.lines().map(str::len).collect();
+        assert_eq!(widths, [widths[0]; 4]);
     }
 
     #[test]
     #[should_panic(expected = "row arity mismatch")]
     fn arity_mismatch_panics() {
-        let mut t = TextTable::new(vec!["a", "b"]);
-        t.row(vec!["only one"]);
+        markdown_table(&["a", "b"], [cells(&["only one"])]);
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! | id            | invariant                                                            |
 //! |---------------|----------------------------------------------------------------------|
-//! | `raw-lock`    | no `std::sync` / `parking_lot` lock types outside `crates/sync`      |
+//! | `raw-lock`    | no `std::sync` lock types outside `crates/sync`                      |
 //! | `no-unwrap`   | no `.unwrap()` / `.expect(...)` / `panic!(...)` in non-test library code |
 //! | `raw-spawn`   | no `thread::spawn` outside approved scoped-spawn seams               |
 //! | `raw-instant` | no `Instant::now()` timing outside `crac-obs` / `crac-sync` spans    |
@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 /// One enforced invariant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rule {
-    /// Raw `std::sync` / `parking_lot` lock types outside `crac-sync`.
+    /// Raw `std::sync` lock types outside `crac-sync`.
     RawLock,
     /// `.unwrap()` / `.expect(` / `panic!(` in non-test library code.
     NoUnwrap,
@@ -574,13 +574,6 @@ const STD_LOCK_TYPES: [&str; 6] = [
 fn check_rule(rule: Rule, code: &str) -> Option<String> {
     match rule {
         Rule::RawLock => {
-            if contains_word(code, "parking_lot") {
-                return Some(
-                    "raw `parking_lot` lock outside crac-sync — use the named, instrumented \
-                     `crac_sync` wrappers"
-                        .to_string(),
-                );
-            }
             if code.contains("std::sync::") {
                 for ty in STD_LOCK_TYPES {
                     if contains_word(code, ty) {
@@ -646,8 +639,7 @@ mod tests {
     // ---- raw-lock -------------------------------------------------------
 
     #[test]
-    fn raw_lock_flags_parking_lot_and_std_locks() {
-        assert_eq!(rules_hit(LIB, "use parking_lot::Mutex;\n"), ["raw-lock"]);
+    fn raw_lock_flags_std_locks() {
         assert_eq!(
             rules_hit(LIB, "use std::sync::{Arc, Mutex};\n"),
             ["raw-lock"]
@@ -671,7 +663,9 @@ mod tests {
 
     #[test]
     fn raw_lock_exempts_the_sync_crate_itself() {
-        assert!(rules_hit("crates/sync/src/lib.rs", "use parking_lot::Mutex;\n").is_empty());
+        const SYNC: &str = "crates/sync/src/lib.rs";
+        assert!(rules_hit(SYNC, "use std::sync::{Mutex, RwLock};\n").is_empty());
+        assert!(rules_hit(SYNC, "inner: std::sync::Condvar,\n").is_empty());
     }
 
     #[test]
@@ -796,7 +790,7 @@ let v = map.get(&k).unwrap();
     #[test]
     fn lexer_handles_raw_strings_and_block_comments() {
         let src = "\
-let corpus = r#\"x.unwrap() parking_lot::Mutex\"#;
+let corpus = r#\"x.unwrap() std::sync::Mutex\"#;
 /* block comment with panic!(…)
    spanning lines with thread::spawn */
 let lifetime: &'static str = \"ok\";

@@ -5,8 +5,7 @@
 //! thread-per-connection TCP server over one shared store — is built on
 //! plain mutexes whose correctness rests on *acquisition order*
 //! conventions nothing enforced.  This crate is the enforcement layer:
-//! drop-in [`Mutex`] / [`RwLock`] / [`Condvar`] wrappers (over the
-//! workspace `parking_lot` shim) where
+//! [`Mutex`] / [`RwLock`] / [`Condvar`] wrappers over `std::sync` where
 //!
 //! * every lock carries a **static name** and every acquisition a
 //!   `#[track_caller]` **site**, so diagnostics say *which* lock and
@@ -21,12 +20,16 @@
 //!   histograms and contention counters ([`stats`]) that `crac-obs`
 //!   appends to every Prometheus scrape;
 //! * release builds without the feature compile the wrappers down to the
-//!   underlying lock call — a newtype and nothing else (asserted ≤1% on
-//!   the checkpoint hot path by the `ckpt_image_io` bench probe).
+//!   underlying `std::sync` call — a newtype and nothing else (the `perf`
+//!   benchmark's `sync.lock_ns` probe measures it);
+//! * no lock is ever poisoned for its later users: a guard dropped by a
+//!   panicking thread leaves the data as it was, and every acquisition
+//!   (blocking, `try_*`, `into_inner`, `get_mut`, condvar waits) recovers
+//!   it instead of returning a `PoisonError`.
 //!
-//! The `crac-lint` analyzer closes the loop: raw `std::sync` /
-//! `parking_lot` locks are refused outside this crate, so every lock in
-//! the workspace is visible to the detector.
+//! The `crac-lint` analyzer closes the loop: raw `std::sync` locks are
+//! refused outside this crate, so every lock in the workspace is visible
+//! to the detector.
 
 #![warn(missing_docs)]
 // This crate *wraps* the raw lock types everyone else is forbidden to
@@ -36,6 +39,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::{PoisonError, TryLockError, TryLockResult};
 
 #[cfg(any(debug_assertions, feature = "lock-graph"))]
 use std::panic::Location;
@@ -94,6 +98,16 @@ impl LockMeta {
 // ---------------------------------------------------------------------------
 // Guard bookkeeping
 // ---------------------------------------------------------------------------
+
+/// A non-blocking `std::sync` acquisition as the wrappers report it: the
+/// guard (poison recovered), or `None` while another holder has the lock.
+fn try_raw<G>(result: TryLockResult<G>) -> Option<G> {
+    match result {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
 
 /// Per-guard instrumentation state: which lock, and since when it is
 /// held.  A ZST in passthrough builds.
@@ -179,11 +193,11 @@ fn traced_try_acquire<G>(
 // Mutex
 // ---------------------------------------------------------------------------
 
-/// A named, instrumented mutual-exclusion lock (drop-in for
-/// `parking_lot::Mutex` plus a static name).
+/// A named, instrumented mutual-exclusion lock over `std::sync::Mutex`
+/// whose guards come back directly (poison recovered).
 pub struct Mutex<T: ?Sized> {
     meta: LockMeta,
-    inner: parking_lot::Mutex<T>,
+    inner: std::sync::Mutex<T>,
 }
 
 impl<T> Mutex<T> {
@@ -193,13 +207,15 @@ impl<T> Mutex<T> {
     pub const fn new(name: &'static str, value: T) -> Self {
         Mutex {
             meta: LockMeta::new(name),
-            inner: parking_lot::Mutex::new(value),
+            inner: std::sync::Mutex::new(value),
         }
     }
 
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -217,8 +233,8 @@ impl<T: ?Sized> Mutex<T> {
             let (inner, trace) = traced_acquire(
                 &self.meta,
                 Location::caller(),
-                || self.inner.try_lock(),
-                || self.inner.lock(),
+                || try_raw(self.inner.try_lock()),
+                || self.inner.lock().unwrap_or_else(PoisonError::into_inner),
             );
             MutexGuard {
                 trace,
@@ -229,7 +245,7 @@ impl<T: ?Sized> Mutex<T> {
         {
             MutexGuard {
                 trace: Trace::passthrough(),
-                inner: Some(self.inner.lock()),
+                inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
             }
         }
     }
@@ -239,8 +255,9 @@ impl<T: ?Sized> Mutex<T> {
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         #[cfg(any(debug_assertions, feature = "lock-graph"))]
         {
-            let (inner, trace) =
-                traced_try_acquire(&self.meta, Location::caller(), || self.inner.try_lock())?;
+            let (inner, trace) = traced_try_acquire(&self.meta, Location::caller(), || {
+                try_raw(self.inner.try_lock())
+            })?;
             Some(MutexGuard {
                 trace,
                 inner: Some(inner),
@@ -250,14 +267,14 @@ impl<T: ?Sized> Mutex<T> {
         {
             Some(MutexGuard {
                 trace: Trace::passthrough(),
-                inner: Some(self.inner.try_lock()?),
+                inner: Some(try_raw(self.inner.try_lock())?),
             })
         }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -265,7 +282,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut d = f.debug_struct("Mutex");
         d.field("name", &self.meta.name);
-        match self.inner.try_lock() {
+        match try_raw(self.inner.try_lock()) {
             Some(guard) => d.field("data", &&*guard),
             None => d.field("data", &"<locked>"),
         };
@@ -352,7 +369,7 @@ impl Condvar {
         #[cfg(any(debug_assertions, feature = "lock-graph"))]
         let site = Location::caller();
         let (raw, id_name) = Self::unwrap_guard(guard);
-        let raw = self.inner.wait(raw).unwrap_or_else(|p| p.into_inner());
+        let raw = self.inner.wait(raw).unwrap_or_else(PoisonError::into_inner);
         #[cfg(any(debug_assertions, feature = "lock-graph"))]
         {
             Self::rewrap_guard(raw, id_name, site)
@@ -378,13 +395,11 @@ impl Condvar {
         #[cfg(any(debug_assertions, feature = "lock-graph"))]
         let site = Location::caller();
         let (raw, id_name) = Self::unwrap_guard(guard);
-        let (raw, timed_out) = match self.inner.wait_timeout(raw, timeout) {
-            Ok((g, r)) => (g, r.timed_out()),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r.timed_out())
-            }
-        };
+        let (raw, result) = self
+            .inner
+            .wait_timeout(raw, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        let timed_out = result.timed_out();
         #[cfg(any(debug_assertions, feature = "lock-graph"))]
         {
             (Self::rewrap_guard(raw, id_name, site), timed_out)
@@ -464,8 +479,8 @@ impl fmt::Debug for Condvar {
 // RwLock
 // ---------------------------------------------------------------------------
 
-/// A named, instrumented reader-writer lock (drop-in for
-/// `parking_lot::RwLock` plus a static name).
+/// A named, instrumented reader-writer lock over `std::sync::RwLock` whose
+/// guards come back directly (poison recovered).
 ///
 /// Read and write acquisitions share the lock's single node in the order
 /// graph: a `read(A) → write(B)` order in one thread and `read(B) →
@@ -474,7 +489,7 @@ impl fmt::Debug for Condvar {
 /// and the ordering itself is the bug.
 pub struct RwLock<T: ?Sized> {
     meta: LockMeta,
-    inner: parking_lot::RwLock<T>,
+    inner: std::sync::RwLock<T>,
 }
 
 impl<T> RwLock<T> {
@@ -482,13 +497,15 @@ impl<T> RwLock<T> {
     pub const fn new(name: &'static str, value: T) -> Self {
         RwLock {
             meta: LockMeta::new(name),
-            inner: parking_lot::RwLock::new(value),
+            inner: std::sync::RwLock::new(value),
         }
     }
 
     /// Consumes the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -506,8 +523,8 @@ impl<T: ?Sized> RwLock<T> {
             let (inner, trace) = traced_acquire(
                 &self.meta,
                 Location::caller(),
-                || self.inner.try_read(),
-                || self.inner.read(),
+                || try_raw(self.inner.try_read()),
+                || self.inner.read().unwrap_or_else(PoisonError::into_inner),
             );
             RwLockReadGuard { trace, inner }
         }
@@ -515,7 +532,7 @@ impl<T: ?Sized> RwLock<T> {
         {
             RwLockReadGuard {
                 trace: Trace::passthrough(),
-                inner: self.inner.read(),
+                inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
             }
         }
     }
@@ -528,8 +545,8 @@ impl<T: ?Sized> RwLock<T> {
             let (inner, trace) = traced_acquire(
                 &self.meta,
                 Location::caller(),
-                || self.inner.try_write(),
-                || self.inner.write(),
+                || try_raw(self.inner.try_write()),
+                || self.inner.write().unwrap_or_else(PoisonError::into_inner),
             );
             RwLockWriteGuard { trace, inner }
         }
@@ -537,7 +554,7 @@ impl<T: ?Sized> RwLock<T> {
         {
             RwLockWriteGuard {
                 trace: Trace::passthrough(),
-                inner: self.inner.write(),
+                inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
             }
         }
     }
@@ -547,15 +564,16 @@ impl<T: ?Sized> RwLock<T> {
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
         #[cfg(any(debug_assertions, feature = "lock-graph"))]
         {
-            let (inner, trace) =
-                traced_try_acquire(&self.meta, Location::caller(), || self.inner.try_read())?;
+            let (inner, trace) = traced_try_acquire(&self.meta, Location::caller(), || {
+                try_raw(self.inner.try_read())
+            })?;
             Some(RwLockReadGuard { trace, inner })
         }
         #[cfg(not(any(debug_assertions, feature = "lock-graph")))]
         {
             Some(RwLockReadGuard {
                 trace: Trace::passthrough(),
-                inner: self.inner.try_read()?,
+                inner: try_raw(self.inner.try_read())?,
             })
         }
     }
@@ -565,22 +583,23 @@ impl<T: ?Sized> RwLock<T> {
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
         #[cfg(any(debug_assertions, feature = "lock-graph"))]
         {
-            let (inner, trace) =
-                traced_try_acquire(&self.meta, Location::caller(), || self.inner.try_write())?;
+            let (inner, trace) = traced_try_acquire(&self.meta, Location::caller(), || {
+                try_raw(self.inner.try_write())
+            })?;
             Some(RwLockWriteGuard { trace, inner })
         }
         #[cfg(not(any(debug_assertions, feature = "lock-graph")))]
         {
             Some(RwLockWriteGuard {
                 trace: Trace::passthrough(),
-                inner: self.inner.try_write()?,
+                inner: try_raw(self.inner.try_write())?,
             })
         }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -588,7 +607,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut d = f.debug_struct("RwLock");
         d.field("name", &self.meta.name);
-        match self.inner.try_read() {
+        match try_raw(self.inner.try_read()) {
             Some(guard) => d.field("data", &&*guard),
             None => d.field("data", &"<locked>"),
         };
@@ -685,17 +704,65 @@ mod tests {
         assert!(m.try_lock().is_some());
     }
 
+    /// A fresh lock holding 1, poisoned by a thread that wrote the value
+    /// and then panicked while still holding the lock.
+    fn poisoned_mutex() -> Mutex<u32> {
+        let m = Mutex::new("test.poison", 0u32);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let mut g = m.lock();
+                *g = 1;
+                panic!("poison it");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(m.inner.is_poisoned());
+        m
+    }
+
+    fn poisoned_rwlock() -> RwLock<u32> {
+        let l = RwLock::new("test.poison_rw", 0u32);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let mut g = l.write();
+                *g = 1;
+                panic!("poison it");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(l.inner.is_poisoned());
+        l
+    }
+
     #[test]
     fn poisoned_lock_is_recovered() {
-        let m = Arc::new(Mutex::new("test.poison", 0u32));
-        let m2 = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("poison it");
-        })
-        .join();
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 1);
+        type ReadBack = fn() -> u32;
+        let cases: [(&str, ReadBack); 11] = [
+            ("Mutex::lock", || *poisoned_mutex().lock()),
+            ("Mutex::try_lock", || *poisoned_mutex().try_lock().unwrap()),
+            ("Mutex::into_inner", || poisoned_mutex().into_inner()),
+            ("Mutex::get_mut", || *poisoned_mutex().get_mut()),
+            ("RwLock::read", || *poisoned_rwlock().read()),
+            ("RwLock::write", || *poisoned_rwlock().write()),
+            ("RwLock::try_read", || {
+                *poisoned_rwlock().try_read().unwrap()
+            }),
+            ("RwLock::try_write", || {
+                *poisoned_rwlock().try_write().unwrap()
+            }),
+            ("RwLock::into_inner", || poisoned_rwlock().into_inner()),
+            ("RwLock::get_mut", || *poisoned_rwlock().get_mut()),
+            ("Condvar::wait_timeout", || {
+                let m = poisoned_mutex();
+                let (g, timed_out) =
+                    Condvar::new().wait_timeout(m.lock(), std::time::Duration::from_millis(1));
+                assert!(timed_out);
+                *g
+            }),
+        ];
+        for (call, read_back) in cases {
+            assert_eq!(read_back(), 1, "{call} after a holder panicked");
+        }
     }
 
     #[test]

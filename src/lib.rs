@@ -1,9 +1,9 @@
 //! Umbrella crate for the CRAC reproduction.
 //!
-//! The workspace is organised as one crate per subsystem (see `DESIGN.md`);
-//! this crate re-exports the pieces a downstream user typically needs and is
-//! the home of the runnable examples (`examples/`) and the cross-crate
-//! integration tests (`tests/`).
+//! The workspace is organised as one crate per subsystem (see README
+//! "Workspace layout"); this crate re-exports the pieces a downstream user
+//! typically needs and is the home of the runnable examples (`examples/`)
+//! and the cross-crate integration tests (`tests/`).
 //!
 //! ```
 //! use std::sync::Arc;
