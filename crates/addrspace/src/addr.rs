@@ -15,9 +15,6 @@ pub const PAGE_SIZE: u64 = 4096;
 pub struct Addr(pub u64);
 
 impl Addr {
-    /// The null address.
-    pub const NULL: Addr = Addr(0);
-
     /// Returns the raw 64-bit value.
     #[inline]
     pub fn as_u64(self) -> u64 {

@@ -155,12 +155,6 @@ impl AddressSpace {
         }
     }
 
-    /// The current space-wide write epoch: every mutation since the last
-    /// [`AddressSpace::snapshot_epoch`] call is stamped with this value.
-    pub fn current_epoch(&self) -> u64 {
-        self.write_epoch
-    }
-
     /// Starts a new write epoch and returns it.  Pages written *from now on*
     /// are stamped at or above the returned epoch, so
     /// `store.pages_since(epoch)` yields exactly the pages dirtied after this
@@ -513,17 +507,6 @@ impl AddressSpace {
     /// Number of regions currently mapped.
     pub fn region_count(&self) -> usize {
         self.regions.len()
-    }
-
-    /// Relabels the region starting exactly at `addr` (used by loaders).
-    pub fn relabel(&mut self, addr: Addr, label: &str) -> bool {
-        match self.regions.get_mut(&addr) {
-            Some(r) => {
-                r.label = label.to_string();
-                true
-            }
-            None => false,
-        }
     }
 
     /// Aggregate statistics.

@@ -14,8 +14,7 @@ pub struct CracConfig {
     /// How the fs register is switched on upper→lower crossings
     /// (the Figure 6 experiment toggles this).
     pub fs_mode: FsRegisterMode,
-    /// DMTCP coordinator configuration (gzip off by default, as in the
-    /// paper's measurements).
+    /// DMTCP coordinator configuration.
     pub ckpt: CoordinatorConfig,
     /// Extra per-crossing cost of CRAC's own bookkeeping (log append, handle
     /// translation), in nanoseconds.
@@ -76,7 +75,6 @@ mod tests {
         let k = CracConfig::k600("app");
         assert_eq!(v.app_name, "app");
         assert_ne!(v.runtime.profile.name, k.runtime.profile.name);
-        assert!(!v.ckpt.gzip, "paper disables gzip");
         let f = CracConfig::v100("app").with_fsgsbase();
         assert_eq!(f.fs_mode, FsRegisterMode::FsGsBase);
         assert_eq!(v.fs_mode, FsRegisterMode::KernelCall);

@@ -8,7 +8,7 @@ use crac_addrspace::{page_align_up, Addr, Half, MemError, SharedSpace};
 use crac_cudart::{CudaError, CudaRuntime, MemcpyKind};
 use crac_dmtcp::{CheckpointImage, Coordinator, DmtcpPlugin, PrecopyConfig, PrecopyStats};
 use crac_gpu::clock::ns_to_s;
-use crac_gpu::{GpuMetrics, KernelCost, LaunchDims, UvmStats, VirtualClock};
+use crac_gpu::{KernelCost, LaunchDims, UvmStats, VirtualClock};
 use crac_imagestore::{
     checkpoint_to, restore, CkptTarget, Compression, ImageId, ImageSource, ImageStore, Landed,
     LazyRestoreStats, ReadStats, ReplicateStats, StoreError, StreamReader, Transport, WriteOptions,
@@ -390,11 +390,6 @@ impl CracProcess {
     /// `nvprof`-style CUDA API call counters of the current lower half.
     pub fn counters(&self) -> crac_cudart::CallCounters {
         self.lower.runtime().counters()
-    }
-
-    /// Device activity counters.
-    pub fn gpu_metrics(&self) -> GpuMetrics {
-        self.lower.runtime().device().metrics()
     }
 
     /// UVM fault/migration counters.

@@ -108,15 +108,6 @@ impl FatBinaryRegistry {
             .ok_or_else(|| CudaError::KernelNotRegistered(format!("handle {}", function.0)))
     }
 
-    /// Looks up a kernel by name (used when re-registering after restart to
-    /// map old handles to new ones).
-    pub fn find_by_name(&self, name: &str) -> Option<FunctionHandle> {
-        self.functions
-            .iter()
-            .find(|(_, k)| k.name == name)
-            .map(|(h, _)| *h)
-    }
-
     /// Number of registered fat binaries.
     pub fn fatbin_count(&self) -> usize {
         self.fatbins.len()
@@ -125,11 +116,6 @@ impl FatBinaryRegistry {
     /// Number of registered kernel functions.
     pub fn function_count(&self) -> usize {
         self.functions.len()
-    }
-
-    /// Names of all registered kernels (sorted by handle).
-    pub fn function_names(&self) -> Vec<String> {
-        self.functions.values().map(|k| k.name.clone()).collect()
     }
 }
 
@@ -185,8 +171,6 @@ mod tests {
         assert_eq!(k.fatbin, fb);
         assert_eq!(reg.fatbin_count(), 1);
         assert_eq!(reg.function_count(), 1);
-        assert_eq!(reg.find_by_name("vector_add"), Some(f));
-        assert_eq!(reg.find_by_name("missing"), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crac_gpu::{
     DeviceProfile, EventId, GpuDevice, KernelCost, KernelDesc, LaunchDims, StreamId, VirtualClock,
 };
 
-use crate::arena::{Arena, ArenaKind, ArenaStats};
+use crate::arena::{Arena, ArenaKind};
 use crate::error::{CudaError, CudaResult};
 use crate::fatbin::{FatBinaryHandle, FatBinaryRegistry, FunctionHandle};
 use crate::profile::{CallCounters, CallKind};
@@ -255,16 +255,6 @@ impl CudaRuntime {
         }
     }
 
-    /// Arena statistics of one family.
-    pub fn arena_stats(&self, kind: ArenaKind) -> ArenaStats {
-        let st = self.state.lock();
-        match kind {
-            ArenaKind::Device => st.device_arena.stats(),
-            ArenaKind::PinnedHost => st.pinned_arena.stats(),
-            ArenaKind::Managed => st.managed_arena.stats(),
-        }
-    }
-
     /// The lower-half mmap chunks backing all three arenas (these are what a
     /// naive `/proc/maps`-based checkpointer would wrongly save wholesale).
     pub fn arena_chunks(&self) -> Vec<(Addr, u64)> {
@@ -343,19 +333,6 @@ impl CudaRuntime {
     pub fn memset(&self, ptr: Addr, value: u8, bytes: u64) -> CudaResult<()> {
         self.record("cudaMemset", CallKind::OtherApi);
         self.device.memset(ptr, value, bytes, None)?;
-        Ok(())
-    }
-
-    /// `cudaMemsetAsync`.
-    pub fn memset_async(
-        &self,
-        ptr: Addr,
-        value: u8,
-        bytes: u64,
-        stream: StreamId,
-    ) -> CudaResult<()> {
-        self.record("cudaMemsetAsync", CallKind::OtherApi);
-        self.device.memset(ptr, value, bytes, Some(stream))?;
         Ok(())
     }
 
@@ -501,12 +478,6 @@ impl CudaRuntime {
     /// Number of kernels currently registered.
     pub fn registered_kernel_count(&self) -> usize {
         self.state.lock().fatbins.function_count()
-    }
-
-    /// Finds a registered kernel by name (used at restart to re-bind
-    /// upper-half handles).
-    pub fn find_kernel(&self, name: &str) -> Option<FunctionHandle> {
-        self.state.lock().fatbins.find_by_name(name)
     }
 
     /// `cudaLaunchKernel`: launches a registered kernel.

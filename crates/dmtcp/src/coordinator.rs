@@ -21,10 +21,6 @@ use crate::stream::{
 /// Coordinator configuration.
 #[derive(Clone, Debug)]
 pub struct CoordinatorConfig {
-    /// Whether images are gzip-compressed.  The paper disables compression
-    /// for its measurements; when enabled the model assumes a 2.5× ratio for
-    /// the I/O-time estimate (contents are stored uncompressed either way).
-    pub gzip: bool,
     /// Checkpoint-image write bandwidth, bytes per nanosecond.
     pub disk_write_bw: f64,
     /// Checkpoint-image read bandwidth, bytes per nanosecond.
@@ -34,7 +30,6 @@ pub struct CoordinatorConfig {
 impl Default for CoordinatorConfig {
     fn default() -> Self {
         Self {
-            gzip: false,
             disk_write_bw: 2.0, // ~2 GB/s, a node-local NVMe or parallel FS
             disk_read_bw: 3.0,
         }
@@ -163,11 +158,6 @@ impl Coordinator {
     /// Registers a plugin.  Plugins are consulted in registration order.
     pub fn register_plugin(&mut self, plugin: Arc<dyn DmtcpPlugin>) {
         self.plugins.push(plugin);
-    }
-
-    /// Names of registered plugins, in order.
-    pub fn plugin_names(&self) -> Vec<String> {
-        self.plugins.iter().map(|p| p.name().to_string()).collect()
     }
 
     /// The coordinator's configuration.
@@ -523,12 +513,7 @@ impl Coordinator {
             stats.stored_bytes += data.len() as u64;
         }
 
-        let effective_bytes = if self.config.gzip {
-            (stats.image_bytes as f64 / 2.5) as u64
-        } else {
-            stats.image_bytes
-        };
-        stats.write_ns = (effective_bytes as f64 / self.config.disk_write_bw).ceil() as u64;
+        stats.write_ns = (stats.image_bytes as f64 / self.config.disk_write_bw).ceil() as u64;
         pre.ckpt = stats;
         Ok(pre)
     }
@@ -634,12 +619,7 @@ impl Coordinator {
             stats.regions_restored += 1;
             stats.bytes_restored += len;
         }
-        let effective_bytes = if self.config.gzip {
-            (cursor.logical_bytes as f64 / 2.5) as u64
-        } else {
-            cursor.logical_bytes
-        };
-        stats.read_ns = (effective_bytes as f64 / self.config.disk_read_bw).ceil() as u64;
+        stats.read_ns = (cursor.logical_bytes as f64 / self.config.disk_read_bw).ceil() as u64;
 
         self.fire_restart_hooks(&cursor.payloads, space);
         Ok(stats)
@@ -987,25 +967,6 @@ mod tests {
         coord.restart_into(&image, &fresh);
         use crate::plugin::PluginEvent::*;
         assert_eq!(*plugin.events.lock(), vec![PreCheckpoint, Resume, Restart]);
-    }
-
-    #[test]
-    fn gzip_reduces_modelled_io_time_only() {
-        let space = SharedSpace::new_no_aslr();
-        let a = upper_mapping(&space, 100, "data");
-        space.fill(a, 100 * PAGE_SIZE, 7).unwrap();
-        let plain = Coordinator::new(space.clone(), CoordinatorConfig::default());
-        let gz = Coordinator::new(
-            space.clone(),
-            CoordinatorConfig {
-                gzip: true,
-                ..Default::default()
-            },
-        );
-        let (img_plain, s_plain) = plain.checkpoint(0);
-        let (img_gz, s_gz) = gz.checkpoint(0);
-        assert_eq!(img_plain.logical_size(), img_gz.logical_size());
-        assert!(s_gz.write_ns < s_plain.write_ns);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The checkpoint-image format.
+//! The in-memory checkpoint image.
 
 use std::collections::BTreeMap;
 
@@ -73,83 +73,6 @@ impl CheckpointImage {
     pub fn region_count(&self) -> usize {
         self.regions.len()
     }
-
-    /// Serialises the image to a byte buffer (simple length-prefixed binary
-    /// format; no external dependencies).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"CRACIMG1");
-        out.extend_from_slice(&self.taken_at_ns.to_le_bytes());
-        out.extend_from_slice(&(self.regions.len() as u64).to_le_bytes());
-        for r in &self.regions {
-            out.extend_from_slice(&r.start.as_u64().to_le_bytes());
-            out.extend_from_slice(&r.len.to_le_bytes());
-            out.push(r.prot.bits());
-            out.extend_from_slice(&(r.label.len() as u32).to_le_bytes());
-            out.extend_from_slice(r.label.as_bytes());
-            out.extend_from_slice(&(r.pages.len() as u64).to_le_bytes());
-            for (idx, bytes) in &r.pages {
-                out.extend_from_slice(&idx.to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
-        }
-        out.extend_from_slice(&(self.payloads.len() as u64).to_le_bytes());
-        for (name, payload) in &self.payloads {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
-        out
-    }
-
-    /// Parses an image previously produced by [`CheckpointImage::to_bytes`].
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        let mut c = crate::cursor::ByteCursor::new(data);
-        if c.take(8)? != b"CRACIMG1" {
-            return None;
-        }
-        let taken_at_ns = c.u64()?;
-        let nregions = c.u64()? as usize;
-        // Capacity hints are capped: a corrupt count must fail at the next
-        // cursor read, not abort inside the allocator.
-        let mut regions = Vec::with_capacity(nregions.min(1 << 16));
-        for _ in 0..nregions {
-            let start = Addr(c.u64()?);
-            let len = c.u64()?;
-            let prot = Prot::from_bits(c.u8()?)?;
-            let label_len = c.u32()? as usize;
-            let label = String::from_utf8(c.take(label_len)?.to_vec()).ok()?;
-            let npages = c.u64()? as usize;
-            let mut pages = Vec::with_capacity(npages.min(1 << 16));
-            for _ in 0..npages {
-                let idx = c.u64()?;
-                let bytes = c.take(PAGE_SIZE as usize)?.to_vec();
-                pages.push((idx, bytes));
-            }
-            regions.push(SavedRegion {
-                start,
-                len,
-                prot,
-                label,
-                pages,
-            });
-        }
-        let npayloads = c.u64()? as usize;
-        let mut payloads = BTreeMap::new();
-        for _ in 0..npayloads {
-            let name_len = c.u32()? as usize;
-            let name = String::from_utf8(c.take(name_len)?.to_vec()).ok()?;
-            let plen = c.u64()? as usize;
-            let payload = c.take(plen)?.to_vec();
-            payloads.insert(name, payload);
-        }
-        Some(Self {
-            regions,
-            payloads,
-            taken_at_ns,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -185,32 +108,5 @@ mod tests {
         assert_eq!(img.logical_size(), 6 * PAGE_SIZE + 4);
         assert_eq!(img.stored_size(), PAGE_SIZE + 4);
         assert_eq!(img.region_count(), 2);
-    }
-
-    #[test]
-    fn byte_round_trip_preserves_everything() {
-        let img = sample_image();
-        let bytes = img.to_bytes();
-        let back = CheckpointImage::from_bytes(&bytes).unwrap();
-        assert_eq!(back.taken_at_ns, img.taken_at_ns);
-        assert_eq!(back.region_count(), 2);
-        assert_eq!(back.regions[0].start, img.regions[0].start);
-        assert_eq!(back.regions[0].prot, Prot::RW);
-        assert_eq!(back.regions[0].pages.len(), 1);
-        assert_eq!(back.regions[0].pages[0].1[0], 0xaa);
-        assert_eq!(back.regions[1].prot, Prot::RX);
-        assert_eq!(back.payloads["crac"], vec![1, 2, 3, 4]);
-        assert_eq!(back.logical_size(), img.logical_size());
-    }
-
-    #[test]
-    fn corrupt_header_is_rejected() {
-        let img = sample_image();
-        let mut bytes = img.to_bytes();
-        bytes[0] = b'X';
-        assert!(CheckpointImage::from_bytes(&bytes).is_none());
-        // Truncation is also rejected.
-        let bytes = img.to_bytes();
-        assert!(CheckpointImage::from_bytes(&bytes[..bytes.len() - 3]).is_none());
     }
 }

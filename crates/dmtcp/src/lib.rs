@@ -8,14 +8,15 @@
 //! * [`plugin`] — the plugin trait with the event hooks CRAC uses
 //!   (pre-checkpoint, resume, restart) plus the region-filter hook that lets
 //!   a plugin exclude lower-half memory from the image;
-//! * [`image`] — the checkpoint-image format: saved memory regions (sparse,
-//!   page-granular content plus logical sizes) and named plugin payloads;
+//! * [`image`] — the in-memory checkpoint image: saved memory regions
+//!   (sparse, page-granular content plus logical sizes) and named plugin
+//!   payloads;
 //! * [`coordinator`] — the checkpoint/restart driver: builds the image from
 //!   the merged `/proc/PID/maps` view, consults plugins, and restores images
 //!   into a fresh address space on restart.
 //!
-//! Compression is modelled as a switch only (the paper disables DMTCP's
-//! default gzip for its measurements); image sizes are reported uncompressed.
+//! Image sizes are reported uncompressed: the paper disables DMTCP's default
+//! gzip for its measurements.
 
 pub mod coordinator;
 pub mod cursor;

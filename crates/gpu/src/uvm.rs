@@ -7,10 +7,12 @@
 //! CRAC instead drains managed buffers to the upper half and recreates the
 //! managed allocations on restart.
 //!
-//! This module models exactly the part of UVM that matters for that story:
-//! which pages of a managed range are resident where, how many faults and
-//! migrated bytes a host or device access causes, and the prefetch calls that
-//! bypass faulting.
+//! This module is the UVM *timing* model: which pages of a managed range are
+//! resident where, how many faults and migrated bytes a host or device access
+//! causes, and the prefetch calls that bypass faulting.  `device.rs` charges
+//! fault batches to the virtual clock and `crac-workloads`' `runner.rs`
+//! reports the fault counts.  It does not hold page contents: those live in
+//! the shared address space like any other device buffer.
 
 use std::collections::BTreeMap;
 

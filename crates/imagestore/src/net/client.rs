@@ -118,9 +118,6 @@ impl Conn {
 pub struct TcpTransport {
     addr: SocketAddr,
     secret: Vec<u8>,
-    max_idle: usize,
-    connect_timeout: Duration,
-    io_timeout: Option<Duration>,
     idle: Mutex<Vec<Conn>>,
     /// Reserved connection for priority requests (a lazy restore's fault
     /// path): they never contend with — or queue behind — the shared pool,
@@ -130,16 +127,16 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Idle connections retained by default.  Matches the restore
-    /// pipeline's worker cap (8): a full-width restore reuses its whole
-    /// fan-out on the next image instead of redialling, while a mostly
-    /// idle replicator keeps at most a handful of sockets open.
+    /// Idle connections retained.  Matches the restore pipeline's worker
+    /// cap (8): a full-width restore reuses its whole fan-out on the next
+    /// image instead of redialling, while a mostly idle replicator keeps at
+    /// most a handful of sockets open.
     pub const DEFAULT_MAX_IDLE: usize = 8;
 
-    /// Default per-operation socket read/write timeout.
+    /// Per-operation socket read/write timeout.
     pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-    /// Default dial timeout.
+    /// Dial timeout.
     pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
     /// Connects to the peer at `addr` under shared-secret `secret`.
@@ -180,9 +177,6 @@ impl TcpTransport {
             let transport = Self {
                 addr: candidate,
                 secret: secret.clone(),
-                max_idle: Self::DEFAULT_MAX_IDLE,
-                connect_timeout: Self::DEFAULT_CONNECT_TIMEOUT,
-                io_timeout: Some(Self::DEFAULT_IO_TIMEOUT),
                 idle: Mutex::new("imagestore.net.client.idle", Vec::new()),
                 priority_idle: Mutex::new("imagestore.net.client.priority_idle", Vec::new()),
                 obs: obs.clone(),
@@ -200,18 +194,6 @@ impl TcpTransport {
         }
         // crac-lint: allow(no-unwrap) — local invariant established just above; the expect message documents it
         Err(last_err.expect("at least one candidate was tried"))
-    }
-
-    /// Overrides the idle-pool retention limit.
-    pub fn with_max_idle(mut self, max_idle: usize) -> Self {
-        self.max_idle = max_idle;
-        self
-    }
-
-    /// Overrides the per-operation socket timeout (`None` blocks forever).
-    pub fn with_io_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.io_timeout = timeout;
-        self
     }
 
     /// The peer this transport talks to.
@@ -259,12 +241,12 @@ impl TcpTransport {
     /// span's drop covers every early return.
     fn dial(&self) -> Result<Conn, StoreError> {
         let connect_stage = Span::enter(&self.obs.connect_us);
-        let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)
+        let stream = TcpStream::connect_timeout(&self.addr, Self::DEFAULT_CONNECT_TIMEOUT)
             .map_err(|e| self.transient_io("dial", &e))?;
         connect_stage.finish();
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(self.io_timeout);
-        let _ = stream.set_write_timeout(self.io_timeout);
+        let _ = stream.set_read_timeout(Some(Self::DEFAULT_IO_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(Self::DEFAULT_IO_TIMEOUT));
         let mut conn = Conn { stream };
 
         // Handshake: hello, proof, counter-proof (mutual).
@@ -329,7 +311,7 @@ impl TcpTransport {
     }
 
     fn checkin(&self, conn: Conn) {
-        Self::checkin_to(&self.idle, self.max_idle, conn);
+        Self::checkin_to(&self.idle, Self::DEFAULT_MAX_IDLE, conn);
     }
 
     fn checkin_to(pool: &Mutex<Vec<Conn>>, limit: usize, conn: Conn) {
@@ -376,7 +358,7 @@ impl TcpTransport {
     /// id per execution) surfaces the failure as transient and leaves
     /// the replay decision to the caller.
     fn call_wire(&self, wire: &[u8], idempotent: bool) -> Result<Frame, StoreError> {
-        self.call_wire_on(wire, idempotent, &self.idle, self.max_idle)
+        self.call_wire_on(wire, idempotent, &self.idle, Self::DEFAULT_MAX_IDLE)
     }
 
     /// [`TcpTransport::call_wire`] drawing connections from `pool` (and

@@ -97,12 +97,6 @@ impl WriteOptions {
             ..Self::default()
         }
     }
-
-    /// Returns the options with RLE compression enabled.
-    pub fn with_compression(mut self, compression: Compression) -> Self {
-        self.compression = compression;
-        self
-    }
 }
 
 /// What one image write cost.
@@ -141,15 +135,6 @@ impl WriteStats {
     /// Total bytes this write added to the store.
     pub fn bytes_written(&self) -> u64 {
         self.chunk_bytes_written + self.manifest_bytes
-    }
-
-    /// Fraction of chunk bytes avoided via dedup + compression, relative to
-    /// storing every raw chunk byte (1.0 = stored nothing new).
-    pub fn savings_ratio(&self) -> f64 {
-        if self.raw_chunk_bytes == 0 {
-            return 0.0;
-        }
-        1.0 - self.chunk_bytes_written as f64 / self.raw_chunk_bytes as f64
     }
 }
 

@@ -1,11 +1,13 @@
-//! `crac-lint`: the workspace's concurrency-correctness source analyzer.
+//! `crac-lint`: the workspace's source analyzer for invariants no
+//! compiler checks.
 //!
 //! The concurrent layers of this codebase (pre-copy checkpointing, lazy
 //! restore fault servicing, the TCP server) are only analyzable because
 //! every lock goes through `crac-sync`, every panic site is deliberate,
-//! and every thread has an owner.  Those are project invariants no
-//! compiler checks — this tool does, with `file:line` diagnostics and an
-//! inline escape hatch, and CI gates on its exit code.
+//! and every thread has an owner; and the codebase stays small only if
+//! a `pub` item with no caller is noticed.  Those are project invariants
+//! no compiler checks — this tool does, with `file:line` diagnostics and
+//! an inline escape hatch, and CI gates on its exit code.
 //!
 //! ## Rules
 //!
@@ -15,6 +17,10 @@
 //! | `no-unwrap`   | no `.unwrap()` / `.expect(...)` / `panic!(...)` in non-test library code |
 //! | `raw-spawn`   | no `thread::spawn` outside approved scoped-spawn seams               |
 //! | `raw-instant` | no `Instant::now()` timing outside `crac-obs` / `crac-sync` spans    |
+//! | `unused-pub`  | no `pub fn/struct/enum/trait/type/const/static` that no other code token in the workspace names |
+//!
+//! [`run`] checks `unused-pub` over the whole workspace: `tests/` and
+//! `examples/` trees count as callers, comments and strings do not.
 //!
 //! ## Escapes
 //!
@@ -36,6 +42,7 @@
 //! types), and `crates/obs` + `crates/sync` are exempt from
 //! `raw-instant` (they *are* the timing layer).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -51,17 +58,20 @@ pub enum Rule {
     RawSpawn,
     /// `Instant::now()` timing outside the observability layers.
     RawInstant,
+    /// A `pub` item no other code in the workspace names.
+    UnusedPub,
     /// A malformed or unknown allow directive (not allowable).
     Directive,
 }
 
 impl Rule {
     /// Every checkable rule (excludes the directive meta-rule).
-    pub const ALL: [Rule; 4] = [
+    pub const ALL: [Rule; 5] = [
         Rule::RawLock,
         Rule::NoUnwrap,
         Rule::RawSpawn,
         Rule::RawInstant,
+        Rule::UnusedPub,
     ];
 
     /// The stable id used in diagnostics and `allow(...)` directives.
@@ -71,6 +81,7 @@ impl Rule {
             Rule::NoUnwrap => "no-unwrap",
             Rule::RawSpawn => "raw-spawn",
             Rule::RawInstant => "raw-instant",
+            Rule::UnusedPub => "unused-pub",
             Rule::Directive => "directive",
         }
     }
@@ -160,12 +171,15 @@ impl Outcome {
 }
 
 /// Walks `src/` and every `crates/*/src` under `root` (skipping
-/// `crates/shims`) and scans each `.rs` file.
+/// `crates/shims`) and scans each `.rs` file, with `tests/`,
+/// `examples/`, `crates/*/tests` and `crates/*/examples` read as
+/// references for `unused-pub`.
 pub fn run(root: &Path) -> io::Result<Outcome> {
     let mut files: Vec<(String, PathBuf)> = Vec::new();
-    let umbrella = root.join("src");
-    if umbrella.is_dir() {
-        collect_rs(&umbrella, root, &mut files)?;
+    let mut references: Vec<(String, PathBuf)> = Vec::new();
+    collect_rs(&root.join("src"), root, &mut files)?;
+    for dir in ["tests", "examples"] {
+        collect_rs(&root.join(dir), root, &mut references)?;
     }
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -178,23 +192,39 @@ pub fn run(root: &Path) -> io::Result<Outcome> {
             if dir.file_name().is_some_and(|n| n == "shims") {
                 continue;
             }
-            let src = dir.join("src");
-            if src.is_dir() {
-                collect_rs(&src, root, &mut files)?;
+            collect_rs(&dir.join("src"), root, &mut files)?;
+            for refs in ["tests", "examples"] {
+                collect_rs(&dir.join(refs), root, &mut references)?;
             }
         }
     }
     files.sort();
     let mut outcome = Outcome::default();
+    let mut counts = HashMap::new();
+    let mut items = Vec::new();
     for (rel, path) in files {
         let source = std::fs::read_to_string(&path)?;
-        outcome.violations.extend(scan_source(&rel, &source));
+        let (violations, pub_items) = scan(&rel, &source, &mut counts);
+        outcome.violations.extend(violations);
+        items.extend(pub_items.into_iter().map(|item| (rel.clone(), item)));
         outcome.files_scanned += 1;
     }
+    for (_, path) in references {
+        for split in split_source(&std::fs::read_to_string(&path)?) {
+            count_idents(&split.code, &mut counts);
+        }
+    }
+    outcome.violations.extend(unused_pub(&items, &counts));
+    outcome
+        .violations
+        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(outcome)
 }
 
 fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();
@@ -409,10 +439,31 @@ const TEST_ATTRS: [&str; 4] = ["#[cfg(test)", "#[cfg(all(test", "#[cfg(any(test"
 
 /// Scans one file's source, returning its violations.  `rel_path` is
 /// the workspace-relative forward-slash path (drives per-path rule
-/// exemptions).
+/// exemptions).  `unused-pub` needs the whole workspace: [`run`]
+/// checks it.
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
+    scan(rel_path, source, &mut HashMap::new()).0
+}
+
+/// A `pub` item declared outside test code.
+struct PubItem {
+    line: usize,
+    kind: &'static str,
+    name: String,
+    /// An allow directive covers it.
+    allowed: bool,
+}
+
+/// [`scan_source`], also counting every identifier token into `counts`
+/// and returning the file's `pub` items.
+fn scan(
+    rel_path: &str,
+    source: &str,
+    counts: &mut HashMap<String, usize>,
+) -> (Vec<Violation>, Vec<PubItem>) {
     let lines = split_source(source);
     let mut violations = Vec::new();
+    let mut items = Vec::new();
 
     // Directive map: allows[line] = rules allowed on that line.
     let mut allows: Vec<Vec<Rule>> = vec![Vec::new(); lines.len()];
@@ -464,6 +515,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
             pending_attr = true;
         }
         let exempt = whole_file_test || in_test || pending_attr;
+        count_idents(code, counts);
 
         // Update region state from this line's braces.
         for c in code.chars() {
@@ -490,6 +542,14 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
         if exempt {
             continue;
         }
+        if let Some((kind, name)) = pub_item(code) {
+            items.push(PubItem {
+                line: idx + 1,
+                kind,
+                name: name.to_string(),
+                allowed: allowed(idx, Rule::UnusedPub),
+            });
+        }
         for rule in Rule::ALL {
             if rule.path_exempt(rel_path) || allowed(idx, rule) {
                 continue;
@@ -504,7 +564,60 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
             }
         }
     }
-    violations
+    (violations, items)
+}
+
+/// Item kinds `unused-pub` checks.
+const PUB_ITEM_KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// The `(kind, name)` a line declares with a bare `pub`, if any
+/// (`pub(crate)` and friends are left to rustc's `dead_code`).
+fn pub_item(code: &str) -> Option<(&'static str, &str)> {
+    let mut words = code.trim_start().strip_prefix("pub ")?.split_whitespace();
+    let mut kind = words.next()?;
+    // `pub const fn`, `pub unsafe fn` and `pub async fn` declare a `fn`.
+    if matches!(kind, "const" | "unsafe" | "async") && words.clone().next() == Some("fn") {
+        kind = words.next()?;
+    }
+    let kind = PUB_ITEM_KINDS.into_iter().find(|k| *k == kind)?;
+    let mut name = words
+        .next()?
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'));
+    Some((kind, name.next()?)).filter(|(_, n)| !n.is_empty())
+}
+
+/// Counts every identifier token in `code` into `counts`.
+fn count_idents(code: &str, counts: &mut HashMap<String, usize>) {
+    for word in code.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+        if word.starts_with(|c: char| c.is_alphabetic() || c == '_') {
+            *counts.entry(word.to_string()).or_default() += 1;
+        }
+    }
+}
+
+/// The `unused-pub` rule: an item is unused when its declarations are
+/// the only code tokens in the workspace that name it.
+fn unused_pub(items: &[(String, PubItem)], counts: &HashMap<String, usize>) -> Vec<Violation> {
+    let mut declared: HashMap<&str, usize> = HashMap::new();
+    for (_, item) in items {
+        *declared.entry(&item.name).or_default() += 1;
+    }
+    items
+        .iter()
+        .filter(|(_, item)| {
+            !item.allowed && counts.get(&item.name) <= declared.get(item.name.as_str())
+        })
+        .map(|(rel, item)| Violation {
+            file: rel.clone(),
+            line: item.line,
+            rule: Rule::UnusedPub,
+            message: format!(
+                "`pub {} {}` is named nowhere else in the workspace — delete it or justify \
+                 with an allow directive",
+                item.kind, item.name
+            ),
+        })
+        .collect()
 }
 
 /// Finds allow directives in a line's comment text.
@@ -619,7 +732,7 @@ fn check_rule(rule: Rule, code: &str) -> Option<String> {
              justify with an allow directive"
                 .to_string()
         }),
-        Rule::Directive => None,
+        Rule::UnusedPub | Rule::Directive => None,
     }
 }
 
@@ -804,6 +917,62 @@ let esc = '\\n';
     fn lexer_still_sees_code_after_a_string() {
         let src = "let x = format!(\"{}\", v).parse::<u8>().unwrap();\n";
         assert_eq!(rules_hit(LIB, src), ["no-unwrap"]);
+    }
+
+    // ---- unused-pub -----------------------------------------------------
+
+    #[test]
+    fn unused_pub_flags_only_items_nothing_names() {
+        let root =
+            std::env::temp_dir().join(format!("crac-lint-unused-pub-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write(
+            "crates/demo/src/lib.rs",
+            "\
+pub fn used() {}
+pub fn unused() {}
+pub struct OnlyFromTests;
+// crac-lint: allow(unused-pub) — kept for an out-of-tree caller
+pub const ALLOWED: u8 = 0;
+pub fn caller() { used(); }
+/// Docs naming `unused()` do not count, nor does \"unused\".
+pub fn caller_docs() { let _ = \"unused\"; }
+#[cfg(test)]
+mod tests {
+    pub fn test_helper() {}
+}
+",
+        );
+        write(
+            "crates/demo/tests/it.rs",
+            "#[test]\nfn t() { let _ = demo::OnlyFromTests; demo::caller(); demo::caller_docs(); }\n",
+        );
+        let outcome = run(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let hits: Vec<String> = outcome
+            .unwrap()
+            .violations
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(
+            hits[0].starts_with("crates/demo/src/lib.rs:2: [unused-pub] `pub fn unused`"),
+            "{hits:?}"
+        );
+    }
+
+    #[test]
+    fn unused_pub_reads_qualified_declarations() {
+        assert_eq!(pub_item("pub const fn f() {}"), Some(("fn", "f")));
+        assert_eq!(pub_item("    pub const N: u8 = 1;"), Some(("const", "N")));
+        assert_eq!(pub_item("pub struct S<T>(T);"), Some(("struct", "S")));
+        assert_eq!(pub_item("pub(crate) fn h() {}"), None);
+        assert_eq!(pub_item("pub field: u8,"), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `cargo run -p crac-lint [workspace-root]` — walk every
 //! `crates/*/src` (and the umbrella `src/`) and enforce the workspace's
-//! concurrency-correctness invariants.  Exits non-zero when any
-//! violation is found.
+//! invariants no compiler checks.  Exits non-zero when any violation is
+//! found.
 
 use std::process::ExitCode;
 

@@ -166,10 +166,6 @@ impl Ring {
         self.lock().drain(..).collect()
     }
 
-    pub(crate) fn peek(&self) -> Vec<Event> {
-        self.lock().iter().cloned().collect()
-    }
-
     pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }

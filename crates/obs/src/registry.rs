@@ -6,7 +6,7 @@ use crac_sync::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::event::{Event, EventKind, Ring};
 use crate::span::Span;
@@ -290,19 +290,9 @@ impl ObsRegistry {
         self.inner.events.drain()
     }
 
-    /// Copies the buffered events without draining them.
-    pub fn recent_events(&self) -> Vec<Event> {
-        self.inner.events.peek()
-    }
-
     /// Events dropped so far because the ring was full.
     pub fn events_dropped(&self) -> u64 {
         self.inner.events.dropped()
-    }
-
-    /// Age of this registry's event clock (µs since construction).
-    pub fn uptime(&self) -> Duration {
-        self.inner.epoch.elapsed()
     }
 
     /// A point-in-time copy of every metric.

@@ -55,11 +55,6 @@ impl LockOrderGraph {
         self.edge_count
     }
 
-    /// Nodes with at least one outgoing edge, ascending.
-    pub fn nodes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.edges.keys().copied()
-    }
-
     /// Would adding `from → to` close a cycle?  If so, returns the lock
     /// ids along the return path `to → … → from` (inclusive at both
     /// ends), so the full cycle is `from → to → … → from`.  The probe

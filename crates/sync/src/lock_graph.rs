@@ -224,10 +224,6 @@ mod imp {
     pub(crate) fn take_cycle_reports() -> Vec<CycleReport> {
         std::mem::take(&mut lock_state().reports)
     }
-
-    pub(crate) fn edge_count() -> usize {
-        lock_state().graph.edge_count()
-    }
 }
 
 #[cfg(any(debug_assertions, feature = "lock-graph"))]
@@ -255,18 +251,5 @@ pub fn take_cycle_reports() -> Vec<CycleReport> {
     #[cfg(not(any(debug_assertions, feature = "lock-graph")))]
     {
         Vec::new()
-    }
-}
-
-/// Number of distinct `held → acquiring` orderings observed so far
-/// process-wide.  Zero in passthrough builds.
-pub fn observed_edge_count() -> usize {
-    #[cfg(any(debug_assertions, feature = "lock-graph"))]
-    {
-        imp::edge_count()
-    }
-    #[cfg(not(any(debug_assertions, feature = "lock-graph")))]
-    {
-        0
     }
 }

@@ -56,7 +56,6 @@ pub use crac_cudart as cudart;
 pub use crac_dmtcp as dmtcp;
 pub use crac_gpu as gpu;
 pub use crac_imagestore as imagestore;
-pub use crac_proxy as proxy;
 pub use crac_splitproc as splitproc;
 pub use crac_sync as sync;
 pub use crac_workloads as workloads;
