@@ -7,8 +7,8 @@
 //! sits in the lower half and is called directly through the trampoline),
 //! and CMA/IPC (the operand buffers are copied to a proxy process before the
 //! call and the result copied back — what CRCUDA/CRUM-style systems do).
-//! The proxy itself is not simulated: its whole cost is [`ipc_forward_ns`],
-//! a per-call marshalling cost plus a per-byte copy, charged to the virtual
+//! The proxy itself is not simulated: its whole cost is
+//! [`ipc_forward_ns`](crate::ipc::ipc_forward_ns), charged to the virtual
 //! clock before each call.
 
 use std::sync::Arc;
@@ -18,19 +18,7 @@ use crac_cudart::{Cublas, CudaRuntime, RuntimeConfig};
 use crac_gpu::{StreamId, VirtualClock};
 use crac_splitproc::{FsRegisterMode, TrampolineTable};
 
-/// Fixed cost of forwarding one call to the proxy process (~30 µs: two
-/// syscalls, marshalling and a proxy wakeup).
-pub const IPC_PER_CALL_NS: u64 = 30_000;
-/// Cross-Memory-Attach copy bandwidth in bytes per nanosecond (~6 GB/s, in
-/// line with the effective `process_vm_readv` rates behind Table 3).
-pub const IPC_BYTES_PER_NS: f64 = 6.0;
-
-/// Time to forward one call through a CMA/IPC proxy that ships `to_proxy`
-/// operand bytes there and `from_proxy` result bytes back, in nanoseconds.
-pub fn ipc_forward_ns(to_proxy: u64, from_proxy: u64) -> u64 {
-    let copy_ns = |bytes: u64| (bytes as f64 / IPC_BYTES_PER_NS).ceil() as u64;
-    IPC_PER_CALL_NS + copy_ns(to_proxy) + copy_ns(from_proxy)
-}
+use crate::ipc::ipc_forward_ns;
 
 /// Which BLAS routine a row measures.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -202,19 +190,6 @@ pub fn run_table3(iters: u32) -> Vec<Table3Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ipc_forwarding_charges_per_call_and_per_byte() {
-        // A zero-byte call still pays the marshalling/syscall cost.
-        assert_eq!(ipc_forward_ns(0, 0), IPC_PER_CALL_NS);
-        // Bytes are charged at ceil(bytes / 6) ns in each direction.
-        assert_eq!(ipc_forward_ns(6_000, 0), IPC_PER_CALL_NS + 1_000);
-        assert_eq!(ipc_forward_ns(0, 7), IPC_PER_CALL_NS + 2);
-        assert_eq!(ipc_forward_ns(6_001, 3), IPC_PER_CALL_NS + 1_001 + 1);
-        // The Table 3 effect: for a 100 MB operand the copy dominates
-        // (~17 ms, vs ~0.28 ms for the native call).
-        assert!(ipc_forward_ns(100 << 20, 0) > 10_000_000);
-    }
 
     #[test]
     fn crac_overhead_is_small_and_ipc_overhead_is_huge() {

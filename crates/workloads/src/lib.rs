@@ -23,11 +23,13 @@
 //!   execution times.
 //! * [`cublas_micro`] — the Table 3 micro-benchmark (native / CRAC /
 //!   CMA-IPC).
+//! * [`ipc`] — the CMA/IPC proxy cost model Table 3's IPC column charges.
 //! * [`runner`] — run an application natively or under CRAC, optionally
 //!   checkpointing mid-run and measuring restart.
 
 pub mod apps;
 pub mod cublas_micro;
+pub mod ipc;
 pub mod kernels;
 pub mod runner;
 pub mod session;
