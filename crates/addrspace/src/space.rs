@@ -446,15 +446,30 @@ impl AddressSpace {
     /// the restore was still streaming — are skipped, not errors: their
     /// content is dead.  Returns the number of pages actually installed.
     pub fn install_resident(&mut self, addr: Addr, bytes: &[u8]) -> Result<u64, MemError> {
-        if !addr.is_page_aligned() || !(bytes.len() as u64).is_multiple_of(PAGE_SIZE) {
+        if !(bytes.len() as u64).is_multiple_of(PAGE_SIZE) {
+            return Err(MemError::Unaligned);
+        }
+        let pages: Vec<Arc<[u8]>> = bytes
+            .chunks_exact(PAGE_SIZE as usize)
+            .map(Arc::from)
+            .collect();
+        self.install_pages(addr, &pages)
+    }
+
+    /// [`AddressSpace::install_resident`] of pages already copied out,
+    /// `pages[i]` landing at `addr + i × PAGE_SIZE`.  A caller sharing the
+    /// space makes the copies, and takes their first-touch page faults,
+    /// before it takes the lock.
+    pub fn install_pages(&mut self, addr: Addr, pages: &[Arc<[u8]>]) -> Result<u64, MemError> {
+        if !addr.is_page_aligned() || pages.iter().any(|p| p.len() as u64 != PAGE_SIZE) {
             return Err(MemError::Unaligned);
         }
         let epoch = self.write_epoch;
         let mut installed = 0u64;
-        self.walk_mut(addr, bytes.len() as u64, |r, lo, n| {
-            let content = &bytes[(lo - addr) as usize..][..n as usize];
-            for (page, bytes) in r.pages(lo, n).zip(content.chunks_exact(PAGE_SIZE as usize)) {
-                r.store.install(page, Arc::from(bytes), epoch);
+        self.walk_mut(addr, pages.len() as u64 * PAGE_SIZE, |r, lo, n| {
+            let first = ((lo - addr) / PAGE_SIZE) as usize;
+            for (page, bytes) in r.pages(lo, n).zip(&pages[first..]) {
+                r.store.install(page, Arc::clone(bytes), epoch);
             }
             installed += n / PAGE_SIZE;
             Ok(())

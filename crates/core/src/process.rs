@@ -135,7 +135,7 @@ pub struct StoredCkptReport {
     pub regions_saved: usize,
     /// Merged maps entries excluded (lower half).
     pub regions_skipped: usize,
-    /// Store-side write statistics (dedup, compression, bytes written,
+    /// Store-side write statistics (dedup, bytes written,
     /// pipeline buffering).
     pub write: WriteStats,
 }
@@ -718,17 +718,14 @@ impl CracProcess {
     /// `crac_imagestore::net::TcpTransport` (pooled, authenticated
     /// localhost/TCP connections), or in-process with
     /// `LoopbackTransport`; this method cannot tell the difference.
+    /// `_compression` has one value, [`Compression::None`]: chunks ship raw.
     pub fn checkpoint_to_remote(
         &self,
         transport: &dyn Transport,
-        compression: Compression,
+        _compression: Compression,
         parent: Option<ImageId>,
     ) -> Result<RemoteCkptReport, CracError> {
-        let target = CkptTarget::Peer {
-            transport,
-            compression,
-            parent,
-        };
+        let target = CkptTarget::Peer { transport, parent };
         Ok(self.checkpoint_to(target, None)?.remote().0)
     }
 
@@ -740,15 +737,10 @@ impl CracProcess {
     pub fn checkpoint_to_remote_precopy(
         &self,
         transport: &dyn Transport,
-        compression: Compression,
         parent: Option<ImageId>,
         cfg: PrecopyConfig,
     ) -> Result<(RemoteCkptReport, PrecopyStats), CracError> {
-        let target = CkptTarget::Peer {
-            transport,
-            compression,
-            parent,
-        };
+        let target = CkptTarget::Peer { transport, parent };
         Ok(self.checkpoint_to(target, Some(&cfg))?.remote())
     }
 

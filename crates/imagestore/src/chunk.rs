@@ -22,7 +22,6 @@
 use crac_addrspace::{PageRun, PAGE_SIZE};
 use crac_dmtcp::RegionDescriptor;
 
-use crate::codec::Compression;
 use crate::error::StoreError;
 use crate::format::{ChunkEntry, Manifest, RegionEntry};
 use crate::hash::ContentHash;
@@ -238,7 +237,6 @@ impl ManifestBuilder {
         mut self,
         image_id: ImageId,
         parent: Option<ImageId>,
-        compression: Compression,
     ) -> Result<Manifest, StoreError> {
         if self.open.is_some() {
             return Err(StoreError::protocol(
@@ -271,7 +269,6 @@ impl ManifestBuilder {
             image_id,
             parent,
             taken_at_ns: self.taken_at_ns,
-            compression,
             regions,
             payloads: self.payloads,
         })

@@ -35,7 +35,6 @@ use crac_dmtcp::{
     SinkClosed,
 };
 
-use crate::codec::Compression;
 use crate::error::StoreError;
 use crate::lazy::{unmappable, LazyRestoreSession, LazyRestoreStats};
 use crate::reader::{ReadStats, StreamReader};
@@ -57,8 +56,6 @@ pub enum CkptTarget<'a> {
     Peer {
         /// The wire to the peer.
         transport: &'a dyn Transport,
-        /// Chunk compression policy.
-        compression: Compression,
         /// *Peer-side* id recorded as the published manifest's lineage
         /// (chunk-level dedup applies either way).
         parent: Option<ImageId>,
@@ -129,13 +126,8 @@ pub fn checkpoint_to(
             landed.write = write;
             Ok((id, stats, landed))
         }
-        CkptTarget::Peer {
-            transport,
-            compression,
-            parent,
-        } => {
-            let mut sink =
-                RemoteChunkSink::with_obs(transport, compression, parent, coordinator.obs());
+        CkptTarget::Peer { transport, parent } => {
+            let mut sink = RemoteChunkSink::with_obs(transport, parent, coordinator.obs());
             let stats = walk(&mut sink)?;
             sink.set_taken_at(stamp(&stats.ckpt));
             let (id, replicate) = sink.finish()?;

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! manifest := magic "CRACSTR1" | version u32 | image_id u64 | parent u64
-//!           | taken_at_ns u64 | compression u8
+//!           | taken_at_ns u64 | compression u8 (always 0)
 //!           | nregions u64 | region*
 //!           | npayloads u64 | payload*
 //!           | crc32 u32                       (over all preceding bytes)
@@ -17,10 +17,17 @@
 //!           | raw_len u64
 //! payload  := name_len u32 | name | data_len u64 | data
 //!
-//! chunkfile := magic "CRACCHK1" | encoding u8 | raw_len u64
-//!            | encoded_len u64 | crc32 u32    (over the encoded bytes)
-//!            | encoded bytes
+//! chunkfile := magic "CRACCHK1" | encoding u8 (always 0) | raw_len u64
+//!            | encoded_len u64 (= raw_len)
+//!            | crc32 u32    (over the header fields and the payload)
+//!            | raw bytes
 //! ```
+//!
+//! Chunks are stored raw, as the paper measured (DMTCP's gzip off): a
+//! chunk file is its page bytes behind a fixed [`CHUNK_HEADER_LEN`]-byte
+//! header.  The compression byte and the encoding tag are always 0 — a
+//! non-zero value, or an `encoded_len` other than `raw_len`, is refused as
+//! corruption — until the next format version drops both.
 //!
 //! `version` is [`FORMAT_VERSION`].  Version 2 changed nothing in the
 //! layouts above — it marks the switch of the chunk-naming content hash
@@ -38,8 +45,7 @@
 use crac_addrspace::{PageRun, Prot};
 use crac_dmtcp::ByteCursor;
 
-use crate::codec::{Compression, Encoding};
-use crate::hash::{crc32, ContentHash};
+use crate::hash::{crc32, ContentHash, Crc32};
 use crate::store::ImageId;
 
 /// Magic bytes opening a manifest file.
@@ -49,6 +55,20 @@ pub const CHUNK_MAGIC: &[u8; 8] = b"CRACCHK1";
 /// Current manifest format version (2: chunks named by the word-at-a-time
 /// [`ContentHash`]; 1 named them by FNV-1a-128).
 pub const FORMAT_VERSION: u32 = 2;
+
+/// Bytes in front of a chunk file's payload: magic (8), encoding tag (1),
+/// `raw_len` (8), `encoded_len` (8) and the CRC (4).
+pub const CHUNK_HEADER_LEN: usize = 29;
+
+/// The argument `CracProcess::checkpoint_to_remote` still takes because
+/// the `perf` benchmark's adapter, whose source stays fixed, passes it.
+/// Chunks are always stored raw, so `None` is the only value.
+#[derive(Clone, Copy, Debug)]
+pub enum Compression {
+    /// Store chunks raw (the paper's measurement configuration: DMTCP's
+    /// gzip disabled).
+    None,
+}
 
 /// Why [`Manifest::from_bytes`] refused its input.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,7 +99,7 @@ impl From<String> for ManifestError {
 pub struct ChunkEntry {
     /// Page runs (region-relative indices) in increasing order.
     pub runs: Vec<PageRun>,
-    /// Content hash of the chunk's raw (decoded) bytes.
+    /// Content hash of the chunk's raw bytes.
     pub hash: ContentHash,
     /// Raw byte length (`page count × PAGE_SIZE`).
     pub raw_len: u64,
@@ -110,9 +130,6 @@ pub struct Manifest {
     pub parent: Option<ImageId>,
     /// Virtual time the checkpoint was taken.
     pub taken_at_ns: u64,
-    /// Compression policy the writer ran with (individual chunks record
-    /// their own encoding; this is diagnostic).
-    pub compression: Compression,
     /// Saved regions in image order.
     pub regions: Vec<RegionEntry>,
     /// Plugin payloads in name order.
@@ -140,10 +157,7 @@ impl Manifest {
         out.extend_from_slice(&self.image_id.0.to_le_bytes());
         out.extend_from_slice(&self.parent.map_or(0, |p| p.0).to_le_bytes());
         out.extend_from_slice(&self.taken_at_ns.to_le_bytes());
-        out.push(match self.compression {
-            Compression::None => 0,
-            Compression::Rle => 1,
-        });
+        out.push(0); // compression: chunks are stored raw
         out.extend_from_slice(&(self.regions.len() as u64).to_le_bytes());
         for region in &self.regions {
             out.extend_from_slice(&region.start.to_le_bytes());
@@ -210,11 +224,10 @@ impl Manifest {
             p => Some(ImageId(p)),
         };
         let taken_at_ns = c.u64().ok_or("missing timestamp")?;
-        let compression = match c.u8().ok_or("missing compression tag")? {
-            0 => Compression::None,
-            1 => Compression::Rle,
-            t => return Err(format!("unknown compression tag {t}").into()),
-        };
+        match c.u8().ok_or("missing compression tag")? {
+            0 => {}
+            t => return Err(format!("compression tag {t}: chunks are stored raw").into()),
+        }
         let nregions = c.u64().ok_or("missing region count")? as usize;
         let mut regions = Vec::with_capacity(nregions.min(1 << 16));
         for _ in 0..nregions {
@@ -272,112 +285,64 @@ impl Manifest {
             image_id,
             parent,
             taken_at_ns,
-            compression,
             regions,
             payloads,
         })
     }
 }
 
-/// A chunk file's header plus its encoded payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChunkFile {
-    /// How the payload is encoded.
-    pub encoding: Encoding,
-    /// Length the payload decodes to.
-    pub raw_len: u64,
-    /// The encoded bytes.
-    pub encoded: Vec<u8>,
+/// Frames `raw` as a chunk file: the header, its CRC and the raw bytes, in
+/// one allocation.  The CRC covers the header fields *and* the payload, so
+/// any flipped byte in the file fails verification.
+pub fn frame_chunk(raw: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(CHUNK_HEADER_LEN + raw.len());
+    out.extend_from_slice(CHUNK_MAGIC);
+    out.push(0); // encoding: raw
+    out.extend_from_slice(&(raw.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(raw.len() as u64).to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&out);
+    crc.update(raw);
+    out.extend_from_slice(&crc.finish().to_le_bytes());
+    out.extend_from_slice(raw);
+    out
 }
 
-/// A chunk file's header plus a *borrowed* view of its encoded payload —
-/// what [`ChunkFile::parse`] yields.
-///
-/// The restore pipeline decodes straight out of the file buffer through
-/// this view, so a fetched chunk never holds file bytes and an encoded
-/// copy at once; that halves the per-worker share of
-/// [`crate::reader::restore_buffer_bound`].
-#[derive(Clone, Copy, Debug)]
-pub struct ChunkView<'a> {
-    /// How the payload is encoded.
-    pub encoding: Encoding,
-    /// Length the payload decodes to.
-    pub raw_len: u64,
-    /// The encoded bytes, borrowed from the file buffer.
-    pub encoded: &'a [u8],
-}
-
-impl ChunkFile {
-    /// Serialises the chunk file (header + encoded bytes).  The CRC covers
-    /// the header fields *and* the payload, so any flipped byte in the file
-    /// fails verification.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(29 + self.encoded.len());
-        out.extend_from_slice(CHUNK_MAGIC);
-        out.push(self.encoding.tag());
-        out.extend_from_slice(&self.raw_len.to_le_bytes());
-        out.extend_from_slice(&(self.encoded.len() as u64).to_le_bytes());
-        let mut crc = crate::hash::Crc32::new();
-        crc.update(&out);
-        crc.update(&self.encoded);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
-        out.extend_from_slice(&self.encoded);
-        out
+/// Parses and integrity-checks a chunk file, returning its raw bytes
+/// borrowed from `data` — nothing is copied.  A non-raw encoding tag or an
+/// `encoded_len` other than `raw_len` is refused.
+pub fn parse_chunk(data: &[u8]) -> Result<&[u8], String> {
+    let mut c = ByteCursor::new(data);
+    if c.take(8).ok_or("chunk file truncated")? != CHUNK_MAGIC {
+        return Err("bad chunk magic".into());
     }
-
-    /// Byte length of the fixed header prefix [`ChunkFile::parse_header`]
-    /// needs: magic (8) + encoding tag (1) + raw_len (8).
-    pub const HEADER_PREFIX_LEN: usize = 17;
-
-    /// Parses just the fixed header prefix of a chunk file — magic,
-    /// encoding and `raw_len` — without requiring (or verifying) the
-    /// payload.  This is the cheap "what does this chunk decode to"
-    /// probe manifest adoption uses to cross-check a peer's declared
-    /// lengths against the chunks actually stored; full integrity is
-    /// still [`ChunkFile::parse`]'s job at read time.
-    pub fn parse_header(prefix: &[u8]) -> Result<(Encoding, u64), String> {
-        let mut c = ByteCursor::new(prefix);
-        if c.take(8).ok_or("chunk file truncated")? != CHUNK_MAGIC {
-            return Err("bad chunk magic".into());
-        }
-        let encoding =
-            Encoding::from_tag(c.u8().ok_or("missing encoding")?).ok_or("unknown encoding tag")?;
-        let raw_len = c.u64().ok_or("missing raw length")?;
-        Ok((encoding, raw_len))
+    match c.u8().ok_or("missing encoding")? {
+        0 => {}
+        t => return Err(format!("encoding tag {t}: chunks are stored raw")),
     }
-
-    /// Parses and integrity-checks a chunk file without copying the
-    /// payload: the returned view borrows the encoded bytes from `data`.
-    pub fn parse(data: &[u8]) -> Result<ChunkView<'_>, String> {
-        let mut c = ByteCursor::new(data);
-        if c.take(8).ok_or("chunk file truncated")? != CHUNK_MAGIC {
-            return Err("bad chunk magic".into());
-        }
-        let encoding =
-            Encoding::from_tag(c.u8().ok_or("missing encoding")?).ok_or("unknown encoding tag")?;
-        let raw_len = c.u64().ok_or("missing raw length")?;
-        let encoded_len = c.u64().ok_or("missing encoded length")? as usize;
-        let header_len = c.pos();
-        let stored_crc = c.u32().ok_or("missing chunk CRC")?;
-        let encoded = c.take(encoded_len).ok_or("chunk payload truncated")?;
-        if !c.at_end() {
-            return Err("trailing bytes after chunk payload".into());
-        }
-        let mut crc = crate::hash::Crc32::new();
-        crc.update(&data[..header_len]);
-        crc.update(encoded);
-        let computed = crc.finish();
-        if computed != stored_crc {
-            return Err(format!(
-                "chunk CRC mismatch: stored {stored_crc:#010x}, computed {computed:#010x}"
-            ));
-        }
-        Ok(ChunkView {
-            encoding,
-            raw_len,
-            encoded,
-        })
+    let raw_len = c.u64().ok_or("missing raw length")?;
+    let encoded_len = c.u64().ok_or("missing encoded length")?;
+    if encoded_len != raw_len {
+        return Err(format!(
+            "encoded length {encoded_len} differs from raw length {raw_len}"
+        ));
     }
+    let header_len = c.pos();
+    let stored_crc = c.u32().ok_or("missing chunk CRC")?;
+    let raw = c.take(raw_len as usize).ok_or("chunk payload truncated")?;
+    if !c.at_end() {
+        return Err("trailing bytes after chunk payload".into());
+    }
+    let mut crc = Crc32::new();
+    crc.update(&data[..header_len]);
+    crc.update(raw);
+    let computed = crc.finish();
+    if computed != stored_crc {
+        return Err(format!(
+            "chunk CRC mismatch: stored {stored_crc:#010x}, computed {computed:#010x}"
+        ));
+    }
+    Ok(raw)
 }
 
 #[cfg(test)]
@@ -389,7 +354,6 @@ mod tests {
             image_id: ImageId(3),
             parent: Some(ImageId(2)),
             taken_at_ns: 987_654,
-            compression: Compression::Rle,
             regions: vec![RegionEntry {
                 start: 0x4000_0000_0000,
                 len: 1 << 20,
@@ -434,21 +398,15 @@ mod tests {
 
     #[test]
     fn chunk_file_round_trips_and_detects_corruption() {
-        let cf = ChunkFile {
-            encoding: Encoding::Rle,
-            raw_len: 4096,
-            encoded: vec![255, 0, 255, 0, 255, 0],
-        };
-        let bytes = cf.to_bytes();
-        let view = ChunkFile::parse(&bytes).unwrap();
-        assert_eq!(view.encoding, cf.encoding);
-        assert_eq!(view.raw_len, cf.raw_len);
-        assert_eq!(view.encoded, &cf.encoded[..]);
+        let raw: Vec<u8> = (0..=255u8).collect();
+        let bytes = frame_chunk(&raw);
+        assert_eq!(bytes.len(), CHUNK_HEADER_LEN + raw.len());
+        assert_eq!(parse_chunk(&bytes).unwrap(), &raw[..]);
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x80;
             assert!(
-                ChunkFile::parse(&bad).is_err(),
+                parse_chunk(&bad).is_err(),
                 "flip at byte {i} went undetected"
             );
         }

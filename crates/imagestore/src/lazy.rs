@@ -56,11 +56,12 @@ use crac_dmtcp::{Coordinator, LazyDeclaration, RegionDescriptor, RestartStats};
 use crac_obs::{Buckets, EventKind, Histogram};
 
 use crate::error::StoreError;
+use crate::format::CHUNK_HEADER_LEN;
 use crate::pipeline::{effective_threads, Gauge};
 use crate::reader::{
     build_fetch_plan, fetch_chunk, FetchPlan, ImageSource, ReadStats, ReaderObs, StreamReader,
 };
-use crate::transport::with_transient_retry_observed;
+use crate::transport::{with_transient_retry, RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP};
 
 /// The error for an image whose skeleton the address space refused: the
 /// manifest validated, yet its regions do not fit — a corrupt image as far
@@ -232,20 +233,22 @@ impl LazyShared {
             // Same bounded retry + backoff as the eager pipeline; the
             // shutdown latch doubles as the cancellation probe so one
             // failure stops every other worker's retry loop promptly.
-            let fetched = with_transient_retry_observed(
+            let fetched = with_transient_retry(
                 &self.retries,
                 || self.q().shutdown,
+                RETRY_BACKOFF_BASE,
+                RETRY_BACKOFF_CAP,
                 Some(&retry_obs),
                 || fetch_chunk(source, label, entry, prio, &self.gauge, &self.obs),
             );
-            let (raw, wire_bytes) = match fetched {
-                Ok(ok) => ok,
+            let file = match fetched {
+                Ok(file) => file,
                 Err(e) => return self.fail(e),
             };
-            let len = raw.len() as u64;
-            let installed = self.install(entry, &raw);
-            drop(raw);
-            self.gauge.sub(len);
+            let wire_bytes = file.len() as u64;
+            let installed = self.install(entry, &file[CHUNK_HEADER_LEN..]);
+            drop(file);
+            self.gauge.sub(wire_bytes);
             let pages = match installed {
                 Ok(p) => p,
                 Err(e) => return self.fail(e),
@@ -295,8 +298,14 @@ impl LazyShared {
             for (run, offset) in pieces {
                 let addr = Addr(start + run.first * PAGE_SIZE);
                 let len = (run.count * PAGE_SIZE) as usize;
+                // Copy the pages, and fault their memory in, before taking
+                // the lock the application's own accesses wait on.
+                let copies: Vec<Arc<[u8]>> = raw[*offset..*offset + len]
+                    .chunks_exact(PAGE_SIZE as usize)
+                    .map(Arc::from)
+                    .collect();
                 pages += space
-                    .with_mut(|s| s.install_resident(addr, &raw[*offset..*offset + len]))
+                    .with_mut(|s| s.install_pages(addr, &copies))
                     .map_err(|e| {
                         StoreError::protocol(format!("lazy install failed at {addr}: {e}"))
                     })?;

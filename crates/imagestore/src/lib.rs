@@ -7,16 +7,18 @@
 //! * **Chunked binary on-disk format** ([`format`]): a CRC-framed manifest
 //!   per image (header, region table, chunk references, inline plugin
 //!   payloads) plus content-addressed chunk files holding the page data.
-//!   Any single flipped byte anywhere in the store is detected on read.
+//!   Chunks are stored raw behind a fixed header, as the paper measured
+//!   (DMTCP's gzip off); the manifest's compression byte and the chunk
+//!   header's encoding tag stay in the layout, always 0, until the next
+//!   format version drops them.  Any single flipped byte anywhere in the
+//!   store is detected on read.
 //! * **Streaming writer pipeline** ([`writer`], [`stream`]): producers
 //!   push `(region descriptor, page-run payload)` records into a
 //!   [`ChunkSink`]; the [`StreamWriter`] chunks them along their runs,
-//!   hashes/encodes on worker threads and writes chunk files on a
-//!   dedicated I/O thread through bounded queues — encode overlaps I/O,
+//!   hashes and frames them on worker threads and writes chunk files on a
+//!   dedicated I/O thread through bounded queues — framing overlaps I/O,
 //!   and peak buffered payload is a fixed multiple of the chunk size
-//!   ([`stream_buffer_bound`]), never the image size.  Optional
-//!   run-length compression ([`codec`]) is kept per chunk only when it
-//!   shrinks the data.
+//!   ([`stream_buffer_bound`]), never the image size.
 //! * **Content-hash dedup / incremental checkpoints**: chunks are named by
 //!   a 128-bit content hash, so a checkpoint taken after a small mutation
 //!   writes only the chunks covering changed pages; `WriteOptions::parent`
@@ -86,7 +88,6 @@
 //! registry snapshots — there is no double bookkeeping.
 
 pub mod chunk;
-pub mod codec;
 pub mod coordext;
 pub mod error;
 pub mod format;
@@ -108,9 +109,9 @@ pub use crac_obs::{
     Buckets, Counter, Event, EventKind, Gauge, Histogram, ObsRegistry, Snapshot, Span,
 };
 
-pub use codec::Compression;
 pub use coordext::{checkpoint_to, restore, CkptTarget, Landed};
 pub use error::StoreError;
+pub use format::Compression;
 pub use hash::ContentHash;
 pub use lazy::{LazyRestoreSession, LazyRestoreStats};
 pub use net::{NetServerStats, ServerHandle, TcpTransport, TcpTransportStats};

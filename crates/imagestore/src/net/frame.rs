@@ -64,6 +64,11 @@ pub const NONCE_LEN: usize = 16;
 /// Smallest legal `len` value: version + kind + crc.
 const MIN_FRAME_LEN: usize = 2 + 4;
 
+/// The `len` of an [`Frame::AuthProof`]: version + kind + nonce + MAC +
+/// crc.  The server reads the handshake with this cap, so a peer that has
+/// not authenticated cannot make it allocate (or wait to fill) more.
+pub(crate) const AUTH_PROOF_FRAME_LEN: usize = 2 + NONCE_LEN + 16 + 4;
+
 // Frame kind tags.  Handshake, requests and responses live in disjoint
 // ranges so a message arriving in the wrong phase is obvious.
 const K_SERVER_HELLO: u8 = 0x01;
@@ -560,12 +565,18 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
 /// parse.  Malformed bytes yield [`FrameError::Malformed`] — never a
 /// panic, an unbounded allocation, or an unbounded read.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
+    read_frame_within(r, MAX_FRAME_LEN)
+}
+
+/// [`read_frame`] with the length prefix capped at `max_len` instead of
+/// [`MAX_FRAME_LEN`].
+pub(crate) fn read_frame_within(r: &mut impl Read, max_len: usize) -> Result<Frame, FrameError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes).map_err(FrameError::Io)?;
     let len = u32::from_le_bytes(len_bytes) as usize;
-    if !(MIN_FRAME_LEN..=MAX_FRAME_LEN).contains(&len) {
+    if !(MIN_FRAME_LEN..=max_len).contains(&len) {
         return Err(FrameError::Malformed(format!(
-            "frame length {len} outside [{MIN_FRAME_LEN}, {MAX_FRAME_LEN}]"
+            "frame length {len} outside [{MIN_FRAME_LEN}, {max_len}]"
         )));
     }
     let mut buf = vec![0u8; len];

@@ -35,7 +35,9 @@ use crac_sync::Mutex;
 
 use crate::error::StoreError;
 use crate::net::auth;
-use crate::net::frame::{read_frame, write_frame, Frame, FrameError, WireError};
+use crate::net::frame::{
+    read_frame, read_frame_within, write_frame, Frame, FrameError, WireError, AUTH_PROOF_FRAME_LEN,
+};
 use crate::store::ImageStore;
 
 /// How long the server waits for each handshake frame before giving up on
@@ -427,7 +429,9 @@ fn drive_connection(stream: &mut TcpStream, shared: &Shared) -> ConnOutcome {
     {
         return ConnOutcome::Closed;
     }
-    let proof = match read_frame(stream) {
+    // Capped at the proof's fixed length: an unauthenticated peer gets
+    // no buffer larger than that, and a longer prefix is refused at once.
+    let proof = match read_frame_within(stream, AUTH_PROOF_FRAME_LEN) {
         Ok(Frame::AuthProof { nonce, mac }) => (nonce, mac),
         Ok(_) => {
             // A request (or nonsense) before authentication: refuse before

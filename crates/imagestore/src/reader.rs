@@ -2,20 +2,22 @@
 //! streaming splice, the mirror image of the writer pipeline.
 //!
 //! ```text
-//! fetch workers (threads)                         splice (caller thread)
-//! ───────────────────────                         ──────────────────────
-//! read ─► CRC ─► decode ─► hash-verify ─► [verified q] ─► RegionSink
-//!                                         bounded
+//! fetch workers (threads)               splice (caller thread)
+//! ───────────────────────               ──────────────────────
+//! read ─► CRC ─► hash-verify ─► [verified q] ─► RegionSink
+//!                               bounded
 //! ```
 //!
 //! Every byte read is integrity-checked: the manifest is CRC-framed, each
-//! chunk file carries its own CRC over the encoded bytes, and after decoding
-//! the chunk's content hash is recomputed and compared against the name the
+//! chunk file carries its own CRC over its header and raw payload, and the
+//! payload's content hash is recomputed and compared against the name the
 //! manifest references — so a flipped bit anywhere in the store surfaces as
 //! a [`StoreError::Corrupt`] instead of silently restoring wrong memory.
+//! Both checks read the payload where it lies in the fetched buffer, and
+//! the splice copies from that same buffer: one copy per restored byte.
 //!
-//! Fetching is the expensive part (file read + CRC + decode + re-hash per
-//! chunk), and chunks are independent, so [`StreamReader`] fans the
+//! Fetching is the expensive part (file read + CRC + re-hash per chunk),
+//! and chunks are independent, so [`StreamReader`] fans the
 //! manifest's *distinct* chunk list out over worker threads; verified
 //! chunks flow through a **bounded** queue to the caller's thread, which
 //! splices each chunk's page runs into the [`RegionSink`] **as the chunk
@@ -64,14 +66,15 @@ use crac_dmtcp::{CheckpointImage, RegionDescriptor};
 use crac_obs::{Buckets, Counter, EventKind, Histogram, ObsRegistry, Span};
 
 use crate::chunk::CHUNK_PAGES;
-use crate::codec::decode;
 use crate::error::StoreError;
-use crate::format::{ChunkFile, Manifest};
+use crate::format::{parse_chunk, Manifest, CHUNK_HEADER_LEN};
 use crate::hash::ContentHash;
 use crate::pipeline::{effective_threads, latch, ErrorSlot, Gauge};
 use crate::store::{ImageId, ImageStore};
 use crate::stream::{ChunkSource, MaterialiseSink, RegionSink};
-use crate::transport::{with_transient_retry_observed, RetryObs, Transport};
+use crate::transport::{
+    with_transient_retry, RetryObs, Transport, RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP,
+};
 
 /// Verified chunks the queue holds while the splice consumer is busy
 /// (backpressure depth between the fetch workers and the splice).
@@ -80,15 +83,14 @@ pub const VERIFY_QUEUE_CHUNKS: usize = 4;
 /// Analytic upper bound on [`ReadStats::peak_buffered_bytes`] for a
 /// restore that used `threads` fetch workers.
 ///
-/// Each worker holds at most one chunk — its file buffer (header plus
-/// encoded payload, never larger than raw + a fixed header since the
-/// encoder only keeps encodings that shrink) and its decoded bytes
-/// coexist transiently, which the factor 2 covers with slack — each
-/// verified-queue entry holds one decoded chunk, and the splice consumer
-/// holds one chunk while applying its runs.
+/// A chunk is one buffer from fetch to splice: the chunk file as fetched,
+/// its raw payload at a fixed [`CHUNK_HEADER_LEN`]-byte offset.  Each
+/// worker holds at most one (the file it is verifying), each
+/// verified-queue entry holds one, and the splice consumer holds one
+/// while applying its runs.
 pub fn restore_buffer_bound(threads: usize) -> u64 {
     let slots = threads + VERIFY_QUEUE_CHUNKS + 1;
-    2 * slots as u64 * CHUNK_PAGES * PAGE_SIZE
+    slots as u64 * (CHUNK_PAGES * PAGE_SIZE + CHUNK_HEADER_LEN as u64)
 }
 
 /// What one image read cost.
@@ -99,7 +101,7 @@ pub struct ReadStats {
     /// Chunk references served from an already-fetched chunk (an image
     /// that contains the same content many times reads it once).
     pub chunks_cached: usize,
-    /// Encoded chunk bytes read from disk (or received over the
+    /// Chunk-file bytes read from disk (or received over the
     /// transport, for a remote restore).
     pub chunk_bytes_read: u64,
     /// Manifest file size.
@@ -111,8 +113,8 @@ pub struct ReadStats {
     /// the recovery path with it).
     pub transient_retries: usize,
     /// Peak bytes the restore pipeline held at any instant: each worker's
-    /// in-flight chunk file plus its decoded bytes, the verified queue,
-    /// and the chunk being spliced.  Bounded by [`restore_buffer_bound`],
+    /// in-flight chunk file, the verified queue, and the chunk being
+    /// spliced.  Bounded by [`restore_buffer_bound`],
     /// *not* by the image size — the proof that the streaming restore
     /// never materialises the image.
     pub peak_buffered_bytes: u64,
@@ -272,9 +274,11 @@ impl<'a> StreamReader<'a> {
         let obs = ReaderObs::new(obs);
         let retries = AtomicUsize::new(0);
         let retry = obs.retry("get_manifest");
-        let bytes = with_transient_retry_observed(
+        let bytes = with_transient_retry(
             &retries,
             || false,
+            RETRY_BACKOFF_BASE,
+            RETRY_BACKOFF_CAP,
             Some(&retry),
             || source.manifest_bytes(id),
         )?;
@@ -520,7 +524,7 @@ pub(crate) fn build_fetch_plan(
 
 /// The eager fetch/verify/splice pipeline: workers pull tickets off
 /// `plan`, fetch + verify through [`fetch_chunk`] (with bounded retry on
-/// transient failures), and push decoded chunks through the bounded queue;
+/// transient failures), and push verified chunks through the bounded queue;
 /// the calling thread splices each chunk into `sink` the moment it
 /// arrives.  Accounts everything into `obs`'s run registry — the caller
 /// builds its [`ReadStats`] view from the final snapshot.
@@ -538,7 +542,7 @@ fn run_fetch_pipeline(
     let next = AtomicUsize::new(0);
     let retries = AtomicUsize::new(0);
     let retry_obs = obs.retry("fetch_chunk");
-    let (tx, rx) = sync_channel::<(usize, Vec<u8>, u64)>(VERIFY_QUEUE_CHUNKS);
+    let (tx, rx) = sync_channel::<(usize, Vec<u8>)>(VERIFY_QUEUE_CHUNKS);
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -559,16 +563,18 @@ fn run_fetch_pipeline(
                 // permanent failures still fail fast, and once any worker
                 // has latched an error the cancellation probe stops the
                 // others' retry loops mid-budget.
-                let fetched = with_transient_retry_observed(
+                let fetched = with_transient_retry(
                     retries,
                     || error.lock().is_some(),
+                    RETRY_BACKOFF_BASE,
+                    RETRY_BACKOFF_CAP,
                     Some(retry_obs),
                     || fetch_chunk(source, label, entry, false, gauge, obs),
                 );
                 match fetched {
-                    Ok((raw, wire_bytes)) => {
-                        let len = raw.len() as u64;
-                        if tx.send((ticket, raw, wire_bytes)).is_err() {
+                    Ok(file) => {
+                        let len = file.len() as u64;
+                        if tx.send((ticket, file)).is_err() {
                             // Splice consumer gone: only after a latch.
                             gauge.sub(len);
                             return;
@@ -583,18 +589,18 @@ fn run_fetch_pipeline(
         // signalling (the mirror of the writer's teardown).
         drop(tx);
 
-        for (ticket, raw, wire_bytes) in rx.iter() {
-            let len = raw.len() as u64;
+        for (ticket, file) in rx.iter() {
+            let len = file.len() as u64;
             if error.lock().is_none() {
                 let entry = &plan[ticket];
                 let stage = Span::enter(&obs.stage_splice);
-                let spliced = splice_chunk(sink, entry, &raw);
+                let spliced = splice_chunk(sink, entry, &file[CHUNK_HEADER_LEN..]);
                 stage.finish();
                 if let Err(e) = spliced {
                     latch(&error, e);
                 } else {
                     obs.chunks_read.inc();
-                    obs.chunk_bytes_read.add(wire_bytes);
+                    obs.chunk_bytes_read.add(len);
                 }
             }
             gauge.sub(len);
@@ -686,42 +692,36 @@ pub(crate) fn read_image(
     Ok((image, reader.stats()))
 }
 
-/// CRC-checks, decodes and hash-verifies one chunk's *file bytes* (from
-/// disk or the wire), returning its raw bytes.  Decoding borrows straight
-/// from `bytes`, so the caller's transient footprint is file + raw, not
-/// file + encoded copy + raw.  `label` names the source in errors.
+/// CRC-checks and hash-verifies one chunk's *file bytes* (from disk or the
+/// wire) where they lie — nothing is copied.  `label` names the source in
+/// errors.
 pub(crate) fn verify_chunk_file_bytes(
     label: &Path,
     bytes: &[u8],
     hash: ContentHash,
     raw_len: u64,
-    gauge: &Gauge,
-) -> Result<Vec<u8>, StoreError> {
+) -> Result<(), StoreError> {
     let corrupt = |what: String| StoreError::corrupt(label, format!("chunk {hash}: {what}"));
-    let view = ChunkFile::parse(bytes).map_err(corrupt)?;
-    if view.raw_len != raw_len {
+    let raw = parse_chunk(bytes).map_err(corrupt)?;
+    if raw.len() as u64 != raw_len {
         return Err(corrupt(format!(
             "raw length {} does not match manifest ({raw_len})",
-            view.raw_len
+            raw.len()
         )));
     }
-    let raw = decode(view.encoding, view.encoded, view.raw_len as usize)
-        .ok_or_else(|| corrupt("payload failed to decode".into()))?;
-    gauge.add(raw.len() as u64);
-    let actual = ContentHash::of(&raw);
+    let actual = ContentHash::of(raw);
     if actual != hash {
-        gauge.sub(raw.len() as u64);
         return Err(corrupt(format!("content hashes to {actual}")));
     }
-    Ok(raw)
+    Ok(())
 }
 
 /// Fetches one planned chunk from `source` and runs the verification
 /// ladder over it — the one place restore bytes enter, eager or lazy,
 /// local or remote: a faulty disk or peer surfaces as corruption, never as
-/// wrong memory.  Returns the chunk's raw bytes (already `gauge.add`ed —
-/// the caller `sub`s when it drops them) and the encoded file/wire byte
-/// count moved.
+/// wrong memory.  Returns the verified chunk file, whose raw bytes the
+/// caller reads from offset [`CHUNK_HEADER_LEN`] on; its length is already
+/// `gauge.add`ed — the caller `sub`s it when it drops the file.
 pub(crate) fn fetch_chunk(
     source: ImageSource<'_>,
     label: &Path,
@@ -729,16 +729,17 @@ pub(crate) fn fetch_chunk(
     priority: bool,
     gauge: &Gauge,
     obs: &ReaderObs,
-) -> Result<(Vec<u8>, u64), StoreError> {
+) -> Result<Vec<u8>, StoreError> {
     let stage = Span::enter(&obs.stage_fetch);
     let bytes = source.chunk_file_bytes(entry.hash, priority)?;
     stage.finish();
-    let file_bytes = bytes.len() as u64;
-    gauge.add(file_bytes);
+    let len = bytes.len() as u64;
+    gauge.add(len);
     let stage = Span::enter(&obs.stage_verify);
-    let result = verify_chunk_file_bytes(label, &bytes, entry.hash, entry.raw_len, gauge);
+    let verified = verify_chunk_file_bytes(label, &bytes, entry.hash, entry.raw_len);
     stage.finish();
-    drop(bytes);
-    gauge.sub(file_bytes);
-    result.map(|raw| (raw, file_bytes))
+    if verified.is_err() {
+        gauge.sub(len);
+    }
+    verified.map(|()| bytes)
 }

@@ -5,8 +5,8 @@
 //!
 //! * [`ImageStore::replicate_to`] — push one stored image to a peer,
 //!   restic/borg-style: batched `has_chunks` negotiation first, then only
-//!   the chunks the peer is missing travel (as verbatim encoded chunk
-//!   files — no decode/re-encode on the hot path), and the manifest is
+//!   the chunks the peer is missing travel (as verbatim chunk files, read
+//!   from the chunk directory and shipped as they are), and the manifest is
 //!   published strictly last.  Safe to re-run after any interruption: the
 //!   negotiation re-skips everything that already landed, so a resumed
 //!   replication ships exactly the remainder.
@@ -30,16 +30,16 @@
 //! under the bounded retry, the first permanent error latches — and the
 //! next batch starts only when the window has drained.  They differ only
 //! in where a missing chunk's file bytes come from — the chunk directory,
-//! or an encode of staged pages.  Memory held: one staged batch plus one
-//! encoded chunk per worker.
+//! or one framing copy of staged pages.  Memory held: one staged batch plus
+//! one chunk file per worker.
 //!
 //! Restoring *from* a peer is not in this module: it is the one reader
 //! ([`crate::reader::StreamReader`]) opened over
 //! [`crate::reader::ImageSource::Peer`].
 //!
 //! Everything that crosses the wire is verified on arrival — the
-//! receiving side never trusts the sender (chunk CRC, decode, content
-//! hash; manifest CRC; chunks-before-manifest ordering) — so a crashed or
+//! receiving side never trusts the sender (chunk CRC, content hash;
+//! manifest CRC; chunks-before-manifest ordering) — so a crashed or
 //! faulty replication can never leave a torn image visible.
 
 use std::collections::HashSet;
@@ -54,15 +54,17 @@ use crac_obs::{Buckets, Counter, EventKind, Histogram, ObsRegistry, Span};
 use crac_sync::Mutex;
 
 use crate::chunk::{ManifestBuilder, PackedChunk};
-use crate::codec::{encode, Compression};
 use crate::error::StoreError;
-use crate::format::{ChunkFile, Manifest};
+use crate::format::{frame_chunk, Manifest};
 use crate::hash::ContentHash;
-use crate::pipeline::{effective_threads, latch, run_workers, ErrorSlot, Gauge};
+use crate::pipeline::{effective_threads, latch, run_workers, ErrorSlot};
 use crate::reader::verify_chunk_file_bytes;
 use crate::store::{ImageId, ImageStore};
 use crate::stream::ChunkSink;
-use crate::transport::{with_transient_retry_observed, RetryObs, Transport, HAS_CHUNKS_BATCH};
+use crate::transport::{
+    with_transient_retry, RetryObs, Transport, HAS_CHUNKS_BATCH, RETRY_BACKOFF_BASE,
+    RETRY_BACKOFF_CAP,
+};
 
 /// `put_chunk`s the ship loop keeps in flight — its width under the one
 /// fan-out policy ([`effective_threads`]), deliberately not a core count: a
@@ -85,10 +87,10 @@ pub struct ReplicateStats {
     /// Chunks skipped because the peer already held their content — the
     /// dedup negotiation's savings.
     pub chunks_deduped: usize,
-    /// Raw (decoded) bytes across the image's chunk *references*
+    /// Raw bytes across the image's chunk *references*
     /// (repeats included: the image's logical chunk payload).
     pub raw_chunk_bytes: u64,
-    /// Encoded chunk-file bytes that actually crossed the transport.
+    /// Chunk-file bytes that actually crossed the transport.
     pub bytes_shipped: u64,
     /// Manifest bytes that crossed the transport.
     pub manifest_bytes: u64,
@@ -169,7 +171,14 @@ impl ShipObs {
             reg: self.events.clone(),
             op,
         };
-        with_transient_retry_observed(&self.retries, || false, Some(&retry), call)
+        with_transient_retry(
+            &self.retries,
+            || false,
+            RETRY_BACKOFF_BASE,
+            RETRY_BACKOFF_CAP,
+            Some(&retry),
+            call,
+        )
     }
 
     /// One round of the dedup negotiation — the ship loop of both
@@ -300,7 +309,7 @@ impl ShipObs {
 
 /// A [`ChunkSink`] that ships a streaming checkpoint straight to a remote
 /// peer: chunks are hashed locally, negotiated in [`HAS_CHUNKS_BATCH`]
-/// batches, and only missing content is encoded and shipped; the manifest
+/// batches, and only missing content is framed and shipped; the manifest
 /// is published last, under an id the *peer* assigns.
 ///
 /// Chunk boundaries and manifest assembly are
@@ -311,7 +320,6 @@ impl ShipObs {
 /// already landed are skipped, not re-sent.
 pub struct RemoteChunkSink<'t> {
     transport: &'t dyn Transport,
-    compression: Compression,
     /// Peer-side parent for the published manifest's lineage.
     parent: Option<ImageId>,
     started: Instant,
@@ -332,12 +340,8 @@ impl<'t> RemoteChunkSink<'t> {
     /// Opens a remote checkpoint stream over `transport`.  `parent` is the
     /// *peer-side* id recorded as the published manifest's lineage (or
     /// `None` for a fresh chain — chunk-level dedup applies either way).
-    pub fn new(
-        transport: &'t dyn Transport,
-        compression: Compression,
-        parent: Option<ImageId>,
-    ) -> Self {
-        Self::with_obs(transport, compression, parent, ObsRegistry::new())
+    pub fn new(transport: &'t dyn Transport, parent: Option<ImageId>) -> Self {
+        Self::with_obs(transport, parent, ObsRegistry::new())
     }
 
     /// Like [`RemoteChunkSink::new`], but recording into `obs`: shipping
@@ -346,13 +350,11 @@ impl<'t> RemoteChunkSink<'t> {
     /// registry observes the remote checkpoint while it streams.
     pub fn with_obs(
         transport: &'t dyn Transport,
-        compression: Compression,
         parent: Option<ImageId>,
         obs: ObsRegistry,
     ) -> Self {
         Self {
             transport,
-            compression,
             parent,
             // crac-lint: allow(raw-instant) — wall-clock anchor for ship stats, not a stage timing
             started: Instant::now(),
@@ -392,22 +394,13 @@ impl<'t> RemoteChunkSink<'t> {
         Ok(())
     }
 
-    /// Negotiates and ships the staged batch; a chunk is only encoded once
-    /// the peer said it is missing.
+    /// Negotiates and ships the staged batch; a chunk file is only framed
+    /// once the peer said it is missing.
     fn ship_staged(&mut self) -> Result<(), StoreError> {
         let staged = std::mem::take(&mut self.staged);
         let hashes: Vec<ContentHash> = staged.iter().map(|c| c.hash).collect();
-        let compression = self.compression;
-        self.obs.negotiate_and_ship(self.transport, &hashes, |i| {
-            let raw = &staged[i].raw;
-            let (encoding, encoded) = encode(raw, compression);
-            let file = ChunkFile {
-                encoding,
-                raw_len: raw.len() as u64,
-                encoded,
-            };
-            Ok(file.to_bytes())
-        })
+        self.obs
+            .negotiate_and_ship(self.transport, &hashes, |i| Ok(frame_chunk(&staged[i].raw)))
     }
 
     /// Completes the stream: ships the final batch, publishes the
@@ -416,7 +409,7 @@ impl<'t> RemoteChunkSink<'t> {
     pub fn finish(mut self) -> Result<(ImageId, ReplicateStats), StoreError> {
         // The peer owns id allocation (0 is the "unassigned" sentinel it
         // rewrites on adoption) and records the lineage itself.
-        let manifest = std::mem::take(&mut self.book).finish(ImageId(0), None, self.compression)?;
+        let manifest = std::mem::take(&mut self.book).finish(ImageId(0), None)?;
         self.ship_staged()?;
         let id = self
             .obs
@@ -457,7 +450,7 @@ impl ChunkSink for RemoteChunkSink<'_> {
 impl ImageStore {
     /// Pushes image `id` to the peer behind `transport`, shipping only the
     /// chunks the peer is missing (batched `has_chunks` negotiation) as
-    /// verbatim encoded chunk files, then publishing the manifest —
+    /// verbatim chunk files, then publishing the manifest —
     /// strictly last, so a crashed replication leaves at most orphan
     /// chunks on the peer, never a visible torn image.  Returns the
     /// peer-assigned id of the replica.
@@ -501,17 +494,11 @@ impl ImageStore {
             obs.negotiate_and_ship(transport, batch, |i| {
                 let file_bytes = self.read_chunk_file_bytes(batch[i])?;
                 // Never ship bytes we would not accept ourselves: verify
-                // the local chunk before it crosses the wire, so a locally
-                // corrupted store fails the replication loudly instead of
-                // poisoning the peer.
+                // the local chunk (in place) before it crosses the wire, so
+                // a locally corrupted store fails the replication loudly
+                // instead of poisoning the peer.
                 let path = self.chunk_path(batch[i]);
-                verify_chunk_file_bytes(
-                    &path,
-                    &file_bytes,
-                    batch[i],
-                    raw_lens[i],
-                    &Gauge::default(),
-                )?;
+                verify_chunk_file_bytes(&path, &file_bytes, batch[i], raw_lens[i])?;
                 Ok(file_bytes)
             })?;
         }
@@ -560,7 +547,7 @@ impl ImageStore {
                 continue;
             }
             let file_bytes = obs.with_retry("get_chunk", || transport.get_chunk(chunk.hash))?;
-            // The locked ingest re-verifies (CRC, decode, content hash)
+            // The locked ingest re-verifies (CRC, content hash)
             // before the atomic rename publishes the chunk; we already
             // hold the writer gate, so the `_locked` variant avoids a
             // recursive read-lock.
@@ -613,7 +600,7 @@ mod tests {
         let page = vec![0u8; PAGE_SIZE as usize];
 
         // push_run before any begin_region.
-        let mut sink = RemoteChunkSink::new(&transport, Compression::None, None);
+        let mut sink = RemoteChunkSink::new(&transport, None);
         let err = sink
             .push_run(PageRun { first: 0, count: 1 }, &page)
             .unwrap_err();
@@ -621,18 +608,18 @@ mod tests {
         assert!(!err.is_transient() && !err.is_corruption());
 
         // begin_region while one is already open.
-        let mut sink = RemoteChunkSink::new(&transport, Compression::None, None);
+        let mut sink = RemoteChunkSink::new(&transport, None);
         sink.begin_region(&descriptor()).unwrap();
         let err = sink.begin_region(&descriptor()).unwrap_err();
         assert!(matches!(err, StoreError::Protocol { .. }), "got: {err}");
 
         // end_region without begin.
-        let mut sink = RemoteChunkSink::new(&transport, Compression::None, None);
+        let mut sink = RemoteChunkSink::new(&transport, None);
         let err = sink.end_region().unwrap_err();
         assert!(matches!(err, StoreError::Protocol { .. }), "got: {err}");
 
         // A run whose payload disagrees with its declared page count.
-        let mut sink = RemoteChunkSink::new(&transport, Compression::None, None);
+        let mut sink = RemoteChunkSink::new(&transport, None);
         sink.begin_region(&descriptor()).unwrap();
         let err = sink
             .push_run(PageRun { first: 0, count: 2 }, &page)
@@ -640,7 +627,7 @@ mod tests {
         assert!(matches!(err, StoreError::Protocol { .. }), "got: {err}");
 
         // finish with a region still open.
-        let mut sink = RemoteChunkSink::new(&transport, Compression::None, None);
+        let mut sink = RemoteChunkSink::new(&transport, None);
         sink.begin_region(&descriptor()).unwrap();
         sink.push_run(PageRun { first: 0, count: 1 }, &page)
             .unwrap();
@@ -658,7 +645,7 @@ mod tests {
         let dir = TempDir::new("sink-ok");
         let store = ImageStore::open(dir.path()).unwrap();
         let transport = LoopbackTransport::new(&store);
-        let mut sink = RemoteChunkSink::new(&transport, Compression::None, None);
+        let mut sink = RemoteChunkSink::new(&transport, None);
         sink.begin_region(&descriptor()).unwrap();
         let mut page = vec![7u8; PAGE_SIZE as usize];
         page[0] = 1;

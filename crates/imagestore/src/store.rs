@@ -56,7 +56,7 @@ use crac_obs::{EventKind, ObsRegistry};
 use crac_sync::{Mutex, RwLock};
 
 use crate::error::StoreError;
-use crate::format::{ChunkFile, Manifest};
+use crate::format::{parse_chunk, Manifest, CHUNK_HEADER_LEN};
 use crate::hash::ContentHash;
 use crate::lock;
 use crate::reader::{self, ReadStats};
@@ -259,7 +259,7 @@ impl ImageStore {
     ///
     /// `produce` receives the [`StreamWriter`] (the store's canonical
     /// [`ChunkSink`](crate::stream::ChunkSink)) and pushes regions, runs
-    /// and payloads into it; encoding and chunk-file I/O proceed on
+    /// and payloads into it; framing and chunk-file I/O proceed on
     /// background threads *while the producer is still walking memory*.
     /// When the closure returns `Ok`, the pipeline is drained and the
     /// manifest published; on `Err` nothing is published and the same
@@ -527,8 +527,8 @@ impl ImageStore {
     }
 
     /// Ingests one chunk delivered as verbatim chunk-*file* bytes (header,
-    /// CRC, encoded payload), verifying it end to end — CRC, decode, and
-    /// content hash against `hash` — before anything lands on disk.
+    /// CRC, raw payload), verifying it in place — CRC and content hash
+    /// against `hash` — before anything lands on disk.
     /// Returns `false` (and writes nothing) if the chunk is already
     /// present.
     ///
@@ -562,10 +562,8 @@ impl ImageStore {
             return Ok(false);
         }
         let path = self.chunk_path(hash);
-        let view = ChunkFile::parse(file_bytes).map_err(|what| StoreError::corrupt(&path, what))?;
-        let raw = crate::codec::decode(view.encoding, view.encoded, view.raw_len as usize)
-            .ok_or_else(|| StoreError::corrupt(&path, "replicated chunk failed to decode"))?;
-        let actual = ContentHash::of(&raw);
+        let raw = parse_chunk(file_bytes).map_err(|what| StoreError::corrupt(&path, what))?;
+        let actual = ContentHash::of(raw);
         if actual != hash {
             return Err(StoreError::corrupt(
                 &path,
@@ -642,7 +640,7 @@ impl ImageStore {
                 });
             }
             // The manifest's declared length must match what the stored
-            // chunk actually decodes to (header peek — cheap), or the
+            // chunk actually holds (its file size — cheap), or the
             // image would be visible yet unrestorable.  build_fetch_plan
             // pinned per-hash consistency, so once per distinct hash.
             if checked.insert(chunk.hash) {
@@ -706,18 +704,14 @@ impl ImageStore {
         self.image_ids()
     }
 
-    /// Raw (decoded) length the stored chunk `hash` declares, read from
-    /// its fixed file header without touching the payload.
+    /// Raw length of the stored chunk `hash`: its file size less the header
+    /// (every chunk file was verified whole before it landed).
     fn stored_chunk_raw_len(&self, hash: ContentHash) -> Result<u64, StoreError> {
-        use std::io::Read;
         let path = self.chunk_path(hash);
-        let mut prefix = [0u8; ChunkFile::HEADER_PREFIX_LEN];
-        let mut file = fs::File::open(&path).map_err(|e| StoreError::io(&path, e))?;
-        file.read_exact(&mut prefix)
-            .map_err(|e| StoreError::io(&path, e))?;
-        let (_, raw_len) =
-            ChunkFile::parse_header(&prefix).map_err(|what| StoreError::corrupt(&path, what))?;
-        Ok(raw_len)
+        let len = fs::metadata(&path)
+            .map_err(|e| StoreError::io(&path, e))?
+            .len();
+        Ok(len.saturating_sub(CHUNK_HEADER_LEN as u64))
     }
 
     // -- crate-internal plumbing used by the writer/reader --------------

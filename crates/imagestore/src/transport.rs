@@ -90,9 +90,9 @@ fn sleep_unless_cancelled(total: Duration, cancelled: &impl Fn() -> bool) -> boo
 /// A peer that can receive and serve checkpoint chunks and manifests.
 ///
 /// Chunk payloads cross the transport as verbatim chunk-*file* bytes
-/// (`chunks/<hash>.chk` content: magic, encoding tag, CRC, encoded
-/// payload), so both ends verify integrity independently and the encoded
-/// (possibly compressed) form is what travels — never the raw pages.
+/// (`chunks/<hash>.chk` content: magic, header fields, CRC, raw payload),
+/// so both ends verify integrity independently and the file a store holds
+/// is exactly what travels.
 ///
 /// Implementations must be usable from multiple threads at once
 /// (`&self` methods, `Sync`): the restore pipeline fans `get_chunk` out
@@ -138,47 +138,6 @@ pub trait Transport: Sync {
     ) -> Result<ImageId, StoreError>;
 }
 
-/// Runs `op`, retrying bounded times while it fails transiently.  Each
-/// retry is counted into `retries` (surfaced through replication/read
-/// stats so tests can prove the retry path actually ran).  Production
-/// call sites all use [`with_transient_retry_observed`]; these thinner
-/// flavours survive as test harnesses for the same loop.
-#[cfg(test)]
-pub(crate) fn with_transient_retry<T>(
-    retries: &AtomicUsize,
-    op: impl FnMut() -> Result<T, StoreError>,
-) -> Result<T, StoreError> {
-    with_transient_retry_until(retries, || false, op)
-}
-
-/// [`with_transient_retry`] with a cancellation probe, consulted between
-/// attempts *and* during the backoff sleeps: once `cancelled` reports
-/// true the current error is returned without further retries.  The
-/// parallel restore workers pass the pipeline's error latch here, so a
-/// failure in one worker stops every other worker's retry loop promptly
-/// instead of each ticket burning its full retry budget against a dead
-/// peer.
-///
-/// Retries are spaced by capped exponential backoff
-/// ([`RETRY_BACKOFF_BASE`] doubling up to [`RETRY_BACKOFF_CAP`]): against
-/// a real TCP peer an immediate retry would hot-loop, hammering a
-/// struggling server and exhausting the budget in microseconds.
-#[cfg(test)]
-pub(crate) fn with_transient_retry_until<T>(
-    retries: &AtomicUsize,
-    cancelled: impl Fn() -> bool,
-    op: impl FnMut() -> Result<T, StoreError>,
-) -> Result<T, StoreError> {
-    retry_loop(
-        retries,
-        cancelled,
-        RETRY_BACKOFF_BASE,
-        RETRY_BACKOFF_CAP,
-        None,
-        op,
-    )
-}
-
 /// Where retry attempts are reported: the registry records one
 /// `crac_retry_attempts` increment, the backoff actually slept
 /// (`crac_retry_backoff_us`), and a `transient_retry` event carrying the
@@ -192,40 +151,26 @@ pub(crate) struct RetryObs {
     pub(crate) op: &'static str,
 }
 
-/// [`with_transient_retry_until`] with retry-cause observation: every
-/// transient retry is recorded into `obs` (see [`RetryObs`]) in addition
-/// to the `retries` tally.
-pub(crate) fn with_transient_retry_observed<T>(
-    retries: &AtomicUsize,
-    cancelled: impl Fn() -> bool,
-    obs: Option<&RetryObs>,
-    op: impl FnMut() -> Result<T, StoreError>,
-) -> Result<T, StoreError> {
-    retry_loop(
-        retries,
-        cancelled,
-        RETRY_BACKOFF_BASE,
-        RETRY_BACKOFF_CAP,
-        obs,
-        op,
-    )
-}
-
-/// [`with_transient_retry_until`] with injectable backoff parameters, so
-/// tests can pin the timing behaviour without multi-second runtimes.
-#[cfg(test)]
-pub(crate) fn with_transient_retry_backoff<T>(
-    retries: &AtomicUsize,
-    cancelled: impl Fn() -> bool,
-    base: Duration,
-    cap: Duration,
-    op: impl FnMut() -> Result<T, StoreError>,
-) -> Result<T, StoreError> {
-    retry_loop(retries, cancelled, base, cap, None, op)
-}
-
-/// The shared retry loop behind every `with_transient_retry*` flavour.
-fn retry_loop<T>(
+/// Runs `op`, retrying bounded times ([`MAX_TRANSIENT_RETRIES`]) while it
+/// fails transiently; a permanent failure — corruption above all — is
+/// returned at once.  Each retry is counted into `retries` (surfaced
+/// through replication/read stats so tests can prove the retry path
+/// actually ran) and, with `obs`, recorded with its cause (see
+/// [`RetryObs`]).
+///
+/// `cancelled` is consulted between attempts *and* during the backoff
+/// sleeps: once it reports true the current error is returned without
+/// further retries.  The parallel restore workers pass the pipeline's
+/// error latch here, so a failure in one worker stops every other
+/// worker's retry loop promptly instead of each ticket burning its full
+/// retry budget against a dead peer.
+///
+/// Retries are spaced by capped exponential backoff (`base` doubling up
+/// to `cap`; every production caller passes [`RETRY_BACKOFF_BASE`] and
+/// [`RETRY_BACKOFF_CAP`], tests shorter or longer ones): against a real
+/// TCP peer an immediate retry would hot-loop, hammering a struggling
+/// server and exhausting the budget in microseconds.
+pub(crate) fn with_transient_retry<T>(
     retries: &AtomicUsize,
     cancelled: impl Fn() -> bool,
     base: Duration,
@@ -323,8 +268,8 @@ impl Counters {
 
 /// An in-process [`Transport`] backed by a second [`ImageStore`] — the
 /// "remote node" without a network.  Every verification a real remote
-/// peer would perform happens here too: received chunks are CRC-checked,
-/// decoded and content-hash-verified before an atomic rename makes them
+/// peer would perform happens here too: received chunks are CRC-checked
+/// and content-hash-verified before an atomic rename makes them
 /// visible, and a manifest is refused until every chunk it references has
 /// landed.  The trait, not this type, is what a TCP/object-store backend
 /// replaces.
@@ -585,14 +530,21 @@ mod tests {
     fn retry_helper_recovers_from_bounded_transient_failures() {
         let retries = AtomicUsize::new(0);
         let mut left = MAX_TRANSIENT_RETRIES;
-        let out = with_transient_retry(&retries, || {
-            if left > 0 {
-                left -= 1;
-                Err(StoreError::transient("flaky"))
-            } else {
-                Ok(42)
-            }
-        });
+        let out = with_transient_retry(
+            &retries,
+            || false,
+            RETRY_BACKOFF_BASE,
+            RETRY_BACKOFF_CAP,
+            None,
+            || {
+                if left > 0 {
+                    left -= 1;
+                    Err(StoreError::transient("flaky"))
+                } else {
+                    Ok(42)
+                }
+            },
+        );
         assert_eq!(out.unwrap(), 42);
         assert_eq!(retries.load(Ordering::Relaxed), MAX_TRANSIENT_RETRIES);
     }
@@ -600,8 +552,14 @@ mod tests {
     #[test]
     fn retry_helper_gives_up_after_the_bound() {
         let retries = AtomicUsize::new(0);
-        let out: Result<(), _> =
-            with_transient_retry(&retries, || Err(StoreError::transient("always down")));
+        let out: Result<(), _> = with_transient_retry(
+            &retries,
+            || false,
+            RETRY_BACKOFF_BASE,
+            RETRY_BACKOFF_CAP,
+            None,
+            || Err(StoreError::transient("always down")),
+        );
         assert!(matches!(out, Err(StoreError::Transient { .. })));
         assert_eq!(retries.load(Ordering::Relaxed), MAX_TRANSIENT_RETRIES);
     }
@@ -618,9 +576,11 @@ mod tests {
             op: "get_chunk",
         };
         let mut left = 2;
-        let out = with_transient_retry_observed(
+        let out = with_transient_retry(
             &retries,
             || false,
+            RETRY_BACKOFF_BASE,
+            RETRY_BACKOFF_CAP,
             Some(&obs),
             || {
                 if left > 0 {
@@ -656,11 +616,12 @@ mod tests {
         let retries = AtomicUsize::new(0);
         let base = Duration::from_millis(5);
         let started = std::time::Instant::now();
-        let out: Result<(), _> = with_transient_retry_backoff(
+        let out: Result<(), _> = with_transient_retry(
             &retries,
             || false,
             base,
             Duration::from_secs(1),
+            None,
             || Err(StoreError::transient("always down")),
         );
         assert!(out.is_err());
@@ -700,11 +661,12 @@ mod tests {
             flag.store(true, Ordering::Relaxed);
         });
         let started = std::time::Instant::now();
-        let out: Result<(), _> = with_transient_retry_backoff(
+        let out: Result<(), _> = with_transient_retry(
             &retries,
             || cancel.load(Ordering::Relaxed),
             Duration::from_millis(400),
             Duration::from_secs(2),
+            None,
             || Err(StoreError::transient("always down")),
         );
         killer.join().unwrap();
@@ -724,8 +686,14 @@ mod tests {
     #[test]
     fn retry_helper_fails_fast_on_permanent_errors() {
         let retries = AtomicUsize::new(0);
-        let out: Result<(), _> =
-            with_transient_retry(&retries, || Err(StoreError::corrupt("/x", "flipped bit")));
+        let out: Result<(), _> = with_transient_retry(
+            &retries,
+            || false,
+            RETRY_BACKOFF_BASE,
+            RETRY_BACKOFF_CAP,
+            None,
+            || Err(StoreError::corrupt("/x", "flipped bit")),
+        );
         assert!(out.unwrap_err().is_corruption());
         assert_eq!(
             retries.load(Ordering::Relaxed),

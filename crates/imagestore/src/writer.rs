@@ -1,11 +1,11 @@
 //! The streaming checkpoint writer: a chunk-at-a-time pipeline that
-//! overlaps hashing/encoding with file I/O.
+//! overlaps hashing and framing with file I/O.
 //!
 //! ```text
 //! producer (caller thread)          encoder threads            I/O thread
 //! ────────────────────────          ───────────────            ──────────
-//! push_run ─► chunker ─► [job q] ─► hash ─► dedup ─► encode ─► [write q] ─► chunk file
-//!                        bounded                               bounded
+//! push_run ─► chunker ─► [job q] ─► hash ─► dedup ─► frame ─► [write q] ─► chunk file
+//!                        bounded                              bounded
 //! ```
 //!
 //! The producer (a [`RegionSource`](crate::stream::RegionSource) or the
@@ -13,9 +13,10 @@
 //! [`StreamWriter`]; the chunker packs them into ≤[`CHUNK_PAGES`]-page
 //! chunks and submits each one to a **bounded** job queue.  Encoder worker
 //! threads hash, consult the store's chunk index (plus a write-local claim
-//! set) for deduplication, and encode new content; encoded chunks pass
-//! through a second bounded queue to a **dedicated I/O thread** that writes
-//! the content-addressed files — so encoding chunk *n+1* overlaps writing
+//! set) for deduplication, and frame new content as a chunk file (header,
+//! CRC and the raw bytes, one copy); the files pass through a second
+//! bounded queue to a **dedicated I/O thread** that only writes them under
+//! their content-addressed names — so framing chunk *n+1* overlaps writing
 //! chunk *n* (the double-buffering the synchronous writer lacked).
 //! Durability is batched: the I/O thread lands chunks under temp names
 //! without fsync (the kernel writes back behind it), and `finish` syncs
@@ -54,9 +55,8 @@ use crac_obs::{Buckets, Counter, EventKind, Histogram, ObsRegistry, Span};
 use crac_sync::Mutex;
 
 use crate::chunk::{ChunkSlot, ManifestBuilder, PackedChunk, CHUNK_PAGES};
-use crate::codec::{encode, Compression, Encoding};
 use crate::error::StoreError;
-use crate::format::{ChunkFile, Manifest};
+use crate::format::{frame_chunk, Manifest};
 use crate::hash::ContentHash;
 use crate::pipeline::{effective_threads, latch, run_workers, ErrorSlot, Gauge};
 use crate::store::{ImageId, ImageStore, SharedIndex};
@@ -66,26 +66,23 @@ use crate::stream::ChunkSink;
 /// depth between the producer and the encoders).
 pub const ENCODE_QUEUE_CHUNKS: usize = 8;
 
-/// Encoded chunks the write queue holds while the I/O thread is busy
+/// Chunk files the write queue holds while the I/O thread is busy
 /// (double-buffering depth between the encoders and the disk).
 pub const WRITE_QUEUE_CHUNKS: usize = 4;
 
-/// Per-write options.
+/// Per-write options.  Chunks are always stored raw, and the pipeline
+/// sizes its encoder pool the way the reader sizes its fetch pool.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WriteOptions {
-    /// Chunk compression policy.
-    pub compression: Compression,
     /// Parent image for an incremental checkpoint.  Chunks shared with
     /// *any* stored image are deduplicated either way (the chunk store is
     /// content-addressed); the parent records lineage for bookkeeping and
     /// garbage collection.
     pub parent: Option<ImageId>,
-    /// Worker threads for hashing/encoding; 0 picks the machine default.
-    pub threads: usize,
 }
 
 impl WriteOptions {
-    /// Full checkpoint, no compression (the paper's measurement config).
+    /// Full checkpoint.
     pub fn full() -> Self {
         Self::default()
     }
@@ -94,7 +91,6 @@ impl WriteOptions {
     pub fn incremental(parent: ImageId) -> Self {
         Self {
             parent: Some(parent),
-            ..Self::default()
         }
     }
 }
@@ -110,13 +106,13 @@ pub struct WriteStats {
     pub chunks_deduped: usize,
     /// Raw (decoded) bytes across all chunks of the image.
     pub raw_chunk_bytes: u64,
-    /// Encoded bytes newly written into the chunk store.
+    /// Chunk-file bytes newly written into the chunk store.
     pub chunk_bytes_written: u64,
     /// Size of the manifest file.
     pub manifest_bytes: u64,
     /// Plugin payload bytes (stored inline in the manifest).
     pub payload_bytes: u64,
-    /// Worker threads used for hashing/encoding.
+    /// Worker threads used for hashing and framing.
     pub threads_used: usize,
     /// Peak *page-content* bytes the pipeline held at any instant
     /// (chunker + queues + in-flight encoder/I/O buffers).  Bounded by
@@ -142,13 +138,12 @@ impl WriteStats {
 /// that used `threads` encoder threads.
 ///
 /// Every pipeline slot (the chunker's staging chunk, each job-queue entry,
-/// one job in each encoder's hands, each write-queue entry, one encoded
-/// chunk in the I/O thread's hands) holds at most one chunk; the factor 2
-/// covers the transient instants where raw and encoded copies of the same
-/// chunk coexist (inside `encode`, and while the I/O thread frames the
-/// chunk file).  The bound covers page content only — inline plugin
-/// payloads (manifest data, [`WriteStats::payload_bytes`]) are buffered
-/// in full on top of it.
+/// one job in each encoder's hands, each write-queue entry, one chunk file
+/// in the I/O thread's hands) holds one buffer of at most one chunk plus a
+/// header, except an encoder, which holds its raw job and the file it
+/// frames from it at once; the factor 2 covers that with slack.  The bound
+/// covers page content only — inline plugin payloads (manifest data,
+/// [`WriteStats::payload_bytes`]) are buffered in full on top of it.
 pub fn stream_buffer_bound(threads: usize) -> u64 {
     let slots = 1 + ENCODE_QUEUE_CHUNKS + threads + WRITE_QUEUE_CHUNKS + 1;
     2 * slots as u64 * CHUNK_PAGES * PAGE_SIZE
@@ -160,13 +155,11 @@ struct EncodeJob {
     raw: Vec<u8>,
 }
 
-/// An encoded chunk handed from an encoder to the I/O thread.
+/// A framed chunk file handed from an encoder to the I/O thread.
 struct WriteJob {
     slot: ChunkSlot,
     hash: ContentHash,
-    encoding: Encoding,
-    raw_len: u64,
-    encoded: Vec<u8>,
+    file: Vec<u8>,
 }
 
 /// Run-registry handles the encoder stages record into (one bundle shared
@@ -197,7 +190,7 @@ struct ChunkOutcome {
 ///
 /// Obtain one through [`ImageStore::stream_image`], feed it records (or let
 /// a [`RegionSource`](crate::stream::RegionSource) / the coordinator do
-/// so), and the pipeline encodes and writes chunks behind your back; the
+/// so), and the pipeline frames and writes chunks behind your back; the
 /// manifest is assembled and published when the `stream_image` closure
 /// returns.
 pub struct StreamWriter<'s> {
@@ -242,7 +235,7 @@ impl<'s> StreamWriter<'s> {
                 return Err(StoreError::UnknownImage(parent));
             }
         }
-        let threads = effective_threads(opts.threads, usize::MAX);
+        let threads = effective_threads(0, usize::MAX);
         let gauge = Arc::new(Gauge::default());
         let error: ErrorSlot = Arc::new(Mutex::new("imagestore.writer.error", None));
         let run = ObsRegistry::new();
@@ -258,10 +251,9 @@ impl<'s> StreamWriter<'s> {
             chunks_written: run.counter("crac_writer_chunks_written"),
             chunk_bytes_written: run.counter("crac_writer_chunk_bytes_written"),
         };
-        store.obs().event(
-            EventKind::CheckpointBegun,
-            format!("threads={threads} compression={:?}", opts.compression),
-        );
+        store
+            .obs()
+            .event(EventKind::CheckpointBegun, format!("threads={threads}"));
 
         let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<EncodeJob>(ENCODE_QUEUE_CHUNKS);
         let (write_tx, write_rx) = std::sync::mpsc::sync_channel::<WriteJob>(WRITE_QUEUE_CHUNKS);
@@ -283,7 +275,6 @@ impl<'s> StreamWriter<'s> {
                 outcome_tx.clone(),
                 store.index_handle(),
                 Arc::clone(&claimed),
-                opts.compression,
                 Arc::clone(&gauge),
                 Arc::clone(&error),
                 Arc::clone(&encoder_obs),
@@ -418,11 +409,7 @@ impl<'s> StreamWriter<'s> {
             .add(self.book.payload_bytes());
 
         let image_id = self.store.allocate_image_id();
-        let manifest = std::mem::take(&mut self.book).finish(
-            image_id,
-            self.opts.parent,
-            self.opts.compression,
-        )?;
+        let manifest = std::mem::take(&mut self.book).finish(image_id, self.opts.parent)?;
         let manifest_bytes = manifest.to_bytes();
         write_atomically(&self.store.image_path(image_id), &manifest_bytes)?;
         self.run
@@ -529,7 +516,6 @@ fn spawn_encoder(
     outcome_tx: Sender<ChunkOutcome>,
     index: SharedIndex,
     claimed: Arc<Mutex<std::collections::HashSet<ContentHash>>>,
-    compression: Compression,
     gauge: Arc<Gauge>,
     error: ErrorSlot,
     obs: Arc<EncoderObs>,
@@ -537,7 +523,7 @@ fn spawn_encoder(
     // crac-lint: allow(raw-spawn) — encoder/publisher worker threads are owned by the pipeline and joined at finish()
     std::thread::spawn(move || loop {
         // Holding the mutex across `recv` serialises wakeups but is the
-        // std-only way to share one receiver; encode/IO dominate anyway.
+        // std-only way to share one receiver; hash/IO dominate anyway.
         let job = match job_rx.lock().recv() {
             Ok(job) => job,
             Err(_) => return, // producer dropped the sender: drained
@@ -551,7 +537,7 @@ fn spawn_encoder(
             let _stage = Span::enter(&obs.stage_hash);
             ContentHash::of(&job.raw)
         };
-        // First claimant of unseen content encodes it; everyone else is a
+        // First claimant of unseen content frames it; everyone else is a
         // dedup hit.  The claim set spans one write; the index spans the
         // store's life.
         let is_new = {
@@ -560,21 +546,19 @@ fn spawn_encoder(
         };
         if is_new {
             let stage = Span::enter(&obs.stage_encode);
-            let (encoding, encoded) = encode(&job.raw, compression);
+            let file = frame_chunk(&job.raw);
             stage.finish();
-            gauge.add(encoded.len() as u64);
+            gauge.add(file.len() as u64);
             drop(job.raw);
             gauge.sub(raw_len);
             let send = write_tx.send(WriteJob {
                 slot: job.slot,
                 hash,
-                encoding,
-                raw_len,
-                encoded,
+                file,
             });
             if let Err(failed) = send {
                 // I/O thread gone: only after a latch (or panic).
-                gauge.sub(failed.0.encoded.len() as u64);
+                gauge.sub(failed.0.file.len() as u64);
                 latch(&error, StoreError::busy("chunk I/O thread exited early"));
             }
         } else {
@@ -601,40 +585,32 @@ fn spawn_io(
     // crac-lint: allow(raw-spawn) — encoder/publisher worker threads are owned by the pipeline and joined at finish()
     std::thread::spawn(move || {
         for job in write_rx.iter() {
-            let encoded_len = job.encoded.len() as u64;
+            let file_len = job.file.len() as u64;
             if error.lock().is_some() {
-                gauge.sub(encoded_len);
+                gauge.sub(file_len);
                 continue; // drain mode
             }
-            let file = ChunkFile {
-                encoding: job.encoding,
-                raw_len: job.raw_len,
-                encoded: job.encoded,
-            };
-            // The I/O stage covers framing the file (its CRC) as well as
-            // the write, so this thread's time is attributed in full.
             let stage = Span::enter(&obs.stage_io);
-            let bytes = file.to_bytes();
             let path = chunks_dir.join(format!("{}.chk", job.hash.to_hex()));
             // Deferred durability: land the bytes under a temp name now (no
             // fsync — the kernel writes back behind us) and queue the
             // fsync + rename for the batched publish at finish.
-            let written = write_tmp(&path, &bytes);
+            let written = write_tmp(&path, &job.file);
             stage.finish();
             match written {
                 Ok(tmp) => {
                     pending_publish.lock().push((tmp, path));
                     obs.chunks_written.inc();
-                    obs.chunk_bytes_written.add(bytes.len() as u64);
+                    obs.chunk_bytes_written.add(file_len);
                     let _ = outcome_tx.send(ChunkOutcome {
                         slot: job.slot,
                         hash: job.hash,
-                        written_bytes: Some(bytes.len() as u64),
+                        written_bytes: Some(file_len),
                     });
                 }
                 Err(e) => latch(&error, e),
             }
-            gauge.sub(encoded_len);
+            gauge.sub(file_len);
         }
     })
 }

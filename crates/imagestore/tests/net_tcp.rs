@@ -20,9 +20,9 @@ use crac_dmtcp::{CheckpointImage, SavedRegion};
 use crac_imagestore::net::{serve_on, ServerHandle, TcpTransport};
 use crac_imagestore::testutil::TempDir;
 use crac_imagestore::{
-    ChunkSource, Compression, ContentHash, FaultConfig, FaultyTransport, ImageId, ImageSource,
-    ImageStore, MaterialiseSink, ObsRegistry, RegionSource, RemoteChunkSink, StoreError,
-    StreamReader, Transport, WriteOptions,
+    ChunkSource, ContentHash, FaultConfig, FaultyTransport, ImageId, ImageSource, ImageStore,
+    MaterialiseSink, ObsRegistry, RegionSource, RemoteChunkSink, StoreError, StreamReader,
+    Transport, WriteOptions,
 };
 
 const SECRET: &[u8] = b"rendezvous-secret";
@@ -136,7 +136,7 @@ fn live_checkpoint_streams_straight_to_a_socket() {
     dst_store.write_image(&img, &WriteOptions::full()).unwrap();
 
     let tcp = TcpTransport::connect(server.local_addr(), SECRET).unwrap();
-    let mut sink = RemoteChunkSink::new(&tcp, Compression::None, None);
+    let mut sink = RemoteChunkSink::new(&tcp, None);
     img.stream_into(&mut sink).unwrap();
     sink.set_taken_at(img.taken_at_ns);
     let (remote_id, stats) = sink.finish().unwrap();
@@ -399,6 +399,135 @@ fn unauthenticated_clients_are_refused_before_any_store_operation() {
     server.shutdown();
 }
 
+/// A peer that has not authenticated sends, after the hello, only the
+/// length prefix of a 64 MiB frame.  The server must refuse it on the
+/// spot — neither allocate the frame nor wait out its 10 s handshake
+/// timeout for a body that never comes — and count an auth failure.
+#[test]
+fn an_oversized_handshake_frame_is_dropped_at_once() {
+    let dir = TempDir::new("tcp-handshake-cap");
+    let (_store, server) = server_over(&dir);
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(15))).unwrap();
+    crac_imagestore::net::frame::read_frame(&mut raw).unwrap();
+    let started = Instant::now();
+    std::io::Write::write_all(&mut raw, &(64u32 << 20).to_le_bytes()).unwrap();
+    // The server's close arrives as end of stream (or a reset).
+    let read = std::io::Read::read(&mut raw, &mut [0u8; 1]);
+    let took = started.elapsed();
+    assert!(matches!(read, Ok(0) | Err(_)), "got {read:?}");
+    assert!(
+        took < Duration::from_secs(2),
+        "the server held an unauthenticated connection for {took:?}"
+    );
+    // The server counts the failure before it closes the socket.
+    assert_eq!(server.stats().auth_failures, 1);
+    server.shutdown();
+}
+
+/// A chunk file laid out by hand: `tag`, the declared `raw_len` and
+/// `payload`, with a valid CRC over header fields and payload.
+fn forge(tag: u8, raw_len: usize, payload: &[u8]) -> Vec<u8> {
+    let mut out = crac_imagestore::format::CHUNK_MAGIC.to_vec();
+    out.push(tag);
+    out.extend_from_slice(&(raw_len as u64).to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    let mut crc = crac_imagestore::hash::Crc32::new();
+    crc.update(&out);
+    crc.update(payload);
+    out.extend_from_slice(&crc.finish().to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// `(run, byte)` pairs: what an encoding tag of 1 once meant.
+fn rle(raw: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for run in raw.chunk_by(|a, b| a == b) {
+        for piece in run.chunks(255) {
+            out.extend_from_slice(&[piece.len() as u8, piece[0]]);
+        }
+    }
+    out
+}
+
+/// Chunks are stored raw.  A chunk file whose CRC is valid but whose
+/// encoding tag is not 0, or whose encoded length differs from its raw
+/// length, and a manifest whose compression byte is not 0, are corrupt —
+/// refused by a reader over a store and by ingest through the loopback
+/// and the TCP transport alike.
+#[test]
+fn raw_only_contract_refuses_other_encodings_and_lengths_as_corruption() {
+    use crac_imagestore::format::frame_chunk;
+    let dir = TempDir::new("raw-only");
+    let store = ImageStore::open(dir.path()).unwrap();
+    let (id, _) = store
+        .write_image(&image(4, 1), &WriteOptions::full())
+        .unwrap();
+    let only_file = |sub: &str| {
+        let mut files = std::fs::read_dir(dir.path().join(sub)).unwrap();
+        files.next().unwrap().unwrap().path()
+    };
+    let (chunk_path, manifest_path) = (only_file("chunks"), only_file("images"));
+    let good = std::fs::read(&chunk_path).unwrap();
+    let raw = crac_imagestore::format::parse_chunk(&good)
+        .unwrap()
+        .to_vec();
+    let (hash, n) = (ContentHash::of(&raw), raw.len());
+    assert_eq!(forge(0, n, &raw), frame_chunk(&raw));
+
+    let mut manifest = std::fs::read(&manifest_path).unwrap();
+    manifest[36] = 1; // compression byte: magic, version, id, parent, taken_at
+    let body = manifest.len() - 4;
+    let crc = crac_imagestore::hash::crc32(&manifest[..body]);
+    manifest[body..].copy_from_slice(&crc.to_le_bytes());
+
+    let longer = [&raw[..], &[0]].concat();
+    let chunks = [
+        ("tag 1 over run-length pairs", forge(1, n, &rle(&raw))),
+        ("tag 1 over raw bytes", forge(1, n, &raw)),
+        ("encoded length one short", forge(0, n, &raw[1..])),
+        ("encoded length one long", forge(0, n, &longer)),
+    ];
+    let peer_dir = TempDir::new("raw-only-peer");
+    let (peer_store, server) = server_over(&peer_dir);
+    let tcp = TcpTransport::connect(server.local_addr(), SECRET).unwrap();
+    let loop_dir = TempDir::new("raw-only-loopback");
+    let loop_store = ImageStore::open(loop_dir.path()).unwrap();
+    let loopback = crac_imagestore::LoopbackTransport::new(&loop_store);
+    let peers: [(&str, &dyn Transport); 2] = [("loopback", &loopback), ("tcp", &tcp)];
+    for (case, file) in &chunks {
+        std::fs::write(&chunk_path, file).unwrap();
+        let mut reader =
+            StreamReader::open(ImageSource::Store(&store), id, ObsRegistry::new()).unwrap();
+        let err = reader
+            .stream_out(&mut MaterialiseSink::default())
+            .unwrap_err();
+        assert!(err.is_corruption(), "{case}, store read: {err}");
+        for (peer, transport) in peers {
+            let err = transport.put_chunk(hash, file).unwrap_err();
+            assert!(err.is_corruption(), "{case}, {peer} put_chunk: {err}");
+        }
+    }
+    assert!(!loop_store.contains_chunk(hash) && !peer_store.contains_chunk(hash));
+
+    std::fs::write(&chunk_path, &good).unwrap();
+    std::fs::write(&manifest_path, &manifest).unwrap();
+    let err = StreamReader::open(ImageSource::Store(&store), id, ObsRegistry::new())
+        .err()
+        .unwrap();
+    assert!(err.is_corruption(), "compression byte 1, store read: {err}");
+    for (peer, transport) in peers {
+        transport.put_chunk(hash, &good).unwrap();
+        let err = transport.put_manifest(&manifest, None).unwrap_err();
+        assert!(
+            err.is_corruption(),
+            "compression byte 1, {peer} put_manifest: {err}"
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_replicators_into_one_server_dedup_exactly() {
     // Two replicators pushing the *same* content race their negotiations:
@@ -621,7 +750,7 @@ fn ship_over_tcp_enters_put_manifest_only_after_every_put_returned() {
     let remote_id = while_watching_the_peer(&watcher_view, || {
         let gate = Gate::new(2);
         let recording = Recording::new(&tcp).gating_first_puts(&gate, 2);
-        let mut sink = RemoteChunkSink::new(&recording, Compression::None, None);
+        let mut sink = RemoteChunkSink::new(&recording, None);
         img.stream_into(&mut sink).unwrap();
         let (remote_id, stats) = sink.finish().unwrap();
         assert_eq!(stats.chunks_shipped, THREE_BATCHES as usize);

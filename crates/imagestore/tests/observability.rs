@@ -9,8 +9,7 @@ use crac_addrspace::{Half, MapRequest, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{Coordinator, CoordinatorConfig};
 use crac_imagestore::testutil::{restore_into, TempDir};
 use crac_imagestore::{
-    checkpoint_to, CkptTarget, Compression, EventKind, ImageSource, ImageStore, LoopbackTransport,
-    WriteOptions,
+    checkpoint_to, CkptTarget, EventKind, ImageSource, ImageStore, LoopbackTransport, WriteOptions,
 };
 
 fn space_with_data(pages: u64) -> SharedSpace {
@@ -124,7 +123,6 @@ fn checkpoint_to_remote_records_into_the_coordinator_registry() {
     let transport = LoopbackTransport::new(&peer);
     let target = CkptTarget::Peer {
         transport: &transport,
-        compression: Compression::None,
         parent: None,
     };
     let (id, _ckpt, landed) = checkpoint_to(&coord, target, None, |_| 2_000).unwrap();

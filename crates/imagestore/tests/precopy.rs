@@ -18,7 +18,7 @@ use crac_dmtcp::{Coordinator, CoordinatorConfig, DmtcpPlugin, PrecopyConfig};
 use crac_imagestore::net::{serve_on, TcpTransport};
 use crac_imagestore::testutil::{restore_into, TempDir};
 use crac_imagestore::{
-    checkpoint_to, CkptTarget, Compression, ImageSource, ImageStore, Transport, WriteOptions,
+    checkpoint_to, CkptTarget, ImageSource, ImageStore, Transport, WriteOptions,
 };
 use proptest::prelude::*;
 
@@ -111,7 +111,6 @@ fn space_under_mutation(
 fn to_peer(transport: &dyn Transport) -> CkptTarget<'_> {
     CkptTarget::Peer {
         transport,
-        compression: Compression::None,
         parent: None,
     }
 }

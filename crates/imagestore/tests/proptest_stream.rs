@@ -19,8 +19,8 @@ use crac_addrspace::{Addr, Prot, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{CheckpointImage, Coordinator, CoordinatorConfig, SavedRegion};
 use crac_imagestore::testutil::{restore_into, TempDir};
 use crac_imagestore::{
-    restore_buffer_bound, ChunkSource, Compression, ImageSource, ImageStore, MaterialiseSink,
-    RegionSource, StreamWriter, WriteOptions,
+    restore_buffer_bound, ChunkSource, ImageSource, ImageStore, MaterialiseSink, RegionSource,
+    StreamWriter, WriteOptions,
 };
 use proptest::prelude::*;
 
@@ -115,14 +115,8 @@ proptest! {
     /// Streaming and materialised writes produce byte-identical chunk
     /// stores, and both round-trip back to the original image.
     #[test]
-    fn streaming_equals_materialised(
-        img in image_strategy(),
-        compress in any::<bool>(),
-    ) {
-        let opts = WriteOptions {
-            compression: if compress { Compression::Rle } else { Compression::None },
-            ..WriteOptions::full()
-        };
+    fn streaming_equals_materialised(img in image_strategy()) {
+        let opts = WriteOptions::full();
         let dir_mat = TempDir::new("equiv-mat");
         let dir_str = TempDir::new("equiv-str");
         let store_mat = ImageStore::open(dir_mat.path()).unwrap();
@@ -196,23 +190,16 @@ proptest! {
     /// restart stats, same read accounting — and the streaming read's
     /// peak buffer respects the analytic bound.
     #[test]
-    fn streaming_restore_matches_materialised(
-        img in image_strategy(),
-        compress in any::<bool>(),
-    ) {
+    fn streaming_restore_matches_materialised(img in image_strategy()) {
         // Regions restore at their recorded addresses, so drop duplicates
         // of the same start slot (the write-side strategies allow them).
         let mut img = img;
         let mut seen = BTreeSet::new();
         img.regions.retain(|r| seen.insert(r.start));
 
-        let opts = WriteOptions {
-            compression: if compress { Compression::Rle } else { Compression::None },
-            ..WriteOptions::full()
-        };
         let dir = TempDir::new("restore-equiv");
         let store = ImageStore::open(dir.path()).unwrap();
-        let (id, _) = write_streaming(&store, &img, &opts);
+        let (id, _) = write_streaming(&store, &img, &WriteOptions::full());
 
         let coord = Coordinator::new(SharedSpace::new_no_aslr(), CoordinatorConfig::default());
 

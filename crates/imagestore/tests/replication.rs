@@ -15,7 +15,7 @@ use common::{
 };
 use crac_addrspace::{Addr, Prot, PAGE_SIZE};
 use crac_dmtcp::{CheckpointImage, SavedRegion};
-use crac_imagestore::format::ChunkFile;
+use crac_imagestore::format::{frame_chunk, parse_chunk};
 use crac_imagestore::testutil::TempDir;
 use crac_imagestore::{
     ChunkSource, FaultConfig, FaultyTransport, ImageSource, ImageStore, LoopbackTransport,
@@ -160,7 +160,7 @@ fn remote_checkpoint_stream_dedups_against_locally_written_content() {
     dst.write_image(&img, &WriteOptions::full()).unwrap();
 
     let transport = LoopbackTransport::new(&dst);
-    let mut sink = RemoteChunkSink::new(&transport, Default::default(), None);
+    let mut sink = RemoteChunkSink::new(&transport, None);
     img.stream_into(&mut sink).unwrap();
     sink.set_taken_at(img.taken_at_ns);
     let (remote_id, stats) = sink.finish().unwrap();
@@ -310,12 +310,7 @@ fn receiving_store_rejects_chunks_that_fail_verification() {
     // Valid chunk-file framing around bytes that hash to something else
     // entirely: a lying sender.
     let body = vec![0x5Au8; PAGE_SIZE as usize];
-    let file = ChunkFile {
-        encoding: crac_imagestore::codec::Encoding::Raw,
-        raw_len: body.len() as u64,
-        encoded: body,
-    }
-    .to_bytes();
+    let file = frame_chunk(&body);
     let claimed = ContentHash::of(b"something else");
     let err = transport.put_chunk(claimed, &file).unwrap_err();
     assert!(err.is_corruption(), "got: {err}");
@@ -448,7 +443,7 @@ fn crash_interrupted_replication_leaves_destination_clean_and_resumes() {
             "no temp litter visible: {path:?}"
         );
         let bytes = std::fs::read(&path).unwrap();
-        ChunkFile::parse(&bytes).expect("every landed chunk parses and CRC-checks");
+        parse_chunk(&bytes).expect("every landed chunk parses and CRC-checks");
         landed += 1;
     }
     assert!((CUT_AFTER..8).contains(&landed), "landed {landed} of 8");
@@ -519,7 +514,7 @@ fn ship_enters_put_manifest_only_after_every_put_returned() {
 
         let gate = Gate::new(2);
         let recording = Recording::new(&loopback).gating_first_puts(&gate, 2);
-        let mut sink = RemoteChunkSink::new(&recording, Default::default(), None);
+        let mut sink = RemoteChunkSink::new(&recording, None);
         streamed.stream_into(&mut sink).unwrap();
         let (_, stats) = sink.finish().unwrap();
         assert_eq!(stats.chunks_shipped, THREE_BATCHES as usize);

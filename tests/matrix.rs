@@ -65,7 +65,7 @@ fn checkpoint(
         Place::Peer(transport, frames) => {
             let before = frames();
             let report = if precopy {
-                proc.checkpoint_to_remote_precopy(transport, Compression::None, parent, cfg)
+                proc.checkpoint_to_remote_precopy(transport, parent, cfg)
                     .unwrap()
                     .0
             } else {
