@@ -31,12 +31,14 @@
 //! is *Zero*; [`Slot::Absent`] is mapped but not paged in yet (lazy
 //! restore); [`Slot::Resident`] carries the bytes and the write epoch of the
 //! last mutation, and is *Shared* exactly while a snapshot
-//! ([`Page::share`]) still holds its `Arc`.  The only transitions:
+//! ([`Page::share`]) or another slot (a `copy` destination) still holds its
+//! `Arc`.  The only transitions:
 //!
 //! | operation | Zero | Resident | Absent |
 //! |---|---|---|---|
 //! | `read` | zeros | its bytes | [`MemError::NotResident`] |
 //! | `write`, `fill` | → Resident, stamped | stamped; copied first if Shared | `NotResident`, stays Absent |
+//! | `copy` source | destination page → Resident zeros, stamped | destination page shares its `Arc`, stamped (partial or misaligned: bytes copied) | `NotResident`: paged in first |
 //! | `sparse_copy` source | nothing moves | its bytes, written once into the destination (which owns them) | `NotResident` |
 //! | `install_resident` | → Resident | → Resident (replaced) | → Resident |
 //! | `declare_absent` | → Absent | → Absent (bytes dropped) | stays Absent |

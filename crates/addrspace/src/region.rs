@@ -79,8 +79,8 @@ impl Page {
 pub enum Slot {
     /// Mapped, bytes exist in a checkpoint image but have not been paged in.
     Absent,
-    /// Materialised content.  *Shared* with a snapshot exactly while the
-    /// page's `Arc` has more than one owner.
+    /// Materialised content.  *Shared* with a snapshot or another slot
+    /// exactly while the page's `Arc` has more than one owner.
     Resident(Page),
 }
 
@@ -374,6 +374,46 @@ impl Region {
         for (page, at, n, _) in pieces(addr - self.start, len as usize) {
             let absent = self.not_resident(page);
             self.store.page_mut(page, epoch).ok_or(absent)?[at..at + n].fill(byte);
+        }
+        Ok(())
+    }
+
+    /// Stores into `[addr, addr+len)` the source bytes starting at address
+    /// `from`, read from `source`: the source range's resident pages keyed
+    /// by absolute page number, shared before anything was stored (a page
+    /// missing from it is Zero).  A whole destination page over a whole
+    /// source page takes the source's `Arc` (a Zero source: fresh zeros);
+    /// a partial or incongruent piece copies bytes.  Either way the page
+    /// ends Resident and stamped with `epoch` — never Zero again, or a
+    /// delta round would miss it.
+    pub(crate) fn copy_in(
+        &mut self,
+        addr: Addr,
+        len: u64,
+        from: Addr,
+        source: &[(u64, Arc<[u8]>)],
+        epoch: u64,
+    ) -> Result<(), MemError> {
+        debug_assert!(self.contains(addr) && addr + len <= self.end());
+        let page_of = |page: u64| {
+            let at = source.binary_search_by_key(&page, |(p, _)| *p);
+            at.ok().map(|i| &source[i].1)
+        };
+        for (page, at, n, done) in pieces(addr - self.start, len as usize) {
+            let from = from + done as u64;
+            if n == PAGE_SIZE as usize && from.is_page_aligned() {
+                let bytes = page_of(from.as_u64() / PAGE_SIZE).map_or_else(zero_page, Arc::clone);
+                self.store.install(page, bytes, epoch);
+                continue;
+            }
+            let absent = self.not_resident(page);
+            let bytes = &mut self.store.page_mut(page, epoch).ok_or(absent)?[at..at + n];
+            for (src_page, src_at, k, d) in pieces(from.as_u64(), n) {
+                match page_of(src_page) {
+                    Some(src) => bytes[d..d + k].copy_from_slice(&src[src_at..src_at + k]),
+                    None => bytes[d..d + k].fill(0),
+                }
+            }
         }
         Ok(())
     }

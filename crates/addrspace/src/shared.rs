@@ -25,10 +25,10 @@ use crate::space::{AddressSpace, MapRequest, MemError};
 ///
 /// Installed on a [`SharedSpace`] with
 /// [`SharedSpace::install_fault_handler`].  When a convenience accessor
-/// (`read_bytes`, `write_bytes`, `fill`, `sparse_copy` and the typed
-/// helpers on top of them) hits [`MemError::NotResident`], the handler is
-/// invoked **with no space lock held**: it must block until the faulting
-/// page's bytes have been installed (via
+/// (`read_bytes`, `write_bytes`, `fill`, `copy`, `sparse_copy` and the
+/// typed helpers on top of them) hits [`MemError::NotResident`], the
+/// handler is invoked **with no space lock held**: it must block until the
+/// faulting page's bytes have been installed (via
 /// [`AddressSpace::install_resident`]) and return `Ok`, after which the
 /// interrupted access retries transparently.  Returning an error aborts
 /// the access with that error — the restore source is gone and the page
@@ -160,6 +160,14 @@ impl SharedSpace {
     /// through the installed [`PageFaultHandler`], if any.
     pub fn fill(&self, addr: Addr, len: u64, byte: u8) -> Result<(), MemError> {
         self.with_demand_paging(|| self.inner.write().fill(addr, len, byte))
+    }
+
+    /// Convenience: copy through the lock (see [`AddressSpace::copy`]),
+    /// under one write lock however long the range.  Faults absent pages in
+    /// — on either side — through the installed [`PageFaultHandler`], if
+    /// any.
+    pub fn copy(&self, dst: Addr, src: Addr, len: u64) -> Result<(), MemError> {
+        self.with_demand_paging(|| self.inner.write().copy(dst, src, len))
     }
 
     /// Convenience: sparse copy through the lock (see

@@ -21,6 +21,10 @@ pub const UPPER_BASE: u64 = 0x4000_0000_0000;
 /// Exclusive end of the upper-half range.
 pub const SPACE_END: u64 = 0x7fff_ffff_f000;
 
+/// Pages shared out of a range without copying, keyed by absolute page
+/// number (address / [`PAGE_SIZE`]) in ascending order.
+type SharedPages = Vec<(u64, Arc<[u8]>)>;
+
 /// Errors returned by address-space operations (the moral equivalent of
 /// `errno` values from `mmap`/`munmap`/`mprotect`).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -370,6 +374,50 @@ impl AddressSpace {
         self.walk_mut(addr, len, |r, lo, n| r.fill(lo, n, byte, epoch))
     }
 
+    /// Copies `len` bytes from `src` to `dst` with the semantics of a read
+    /// of the source followed by a write of the destination — overlapping
+    /// ranges behave like `memmove`, and a refused copy changes nothing —
+    /// but no byte passes through a buffer.
+    ///
+    /// Both ranges are validated first (the source for reading, then the
+    /// destination for writing), so absent pages on either side fault in
+    /// before anything moves.  The source's resident pages are then shared
+    /// (a refcount each) and every touched destination page ends Resident
+    /// and stamped: one whose whole page lies over a whole source page at
+    /// the same in-page offset takes the source page's `Arc` (zeros for a
+    /// Zero source), copy-on-write from then on; the partial head and tail
+    /// and a source at another in-page offset copy bytes.
+    pub fn copy(&mut self, dst: Addr, src: Addr, len: u64) -> Result<(), MemError> {
+        let source = self.share_source(dst, src, len)?;
+        let epoch = self.write_epoch;
+        self.walk_mut(dst, len, |r, lo, n| {
+            r.copy_in(lo, n, src + (lo - dst), &source, epoch)
+        })
+    }
+
+    /// The validation and snapshot both copies start with: `src` must be
+    /// readable and `dst` writable, resident throughout (absent pages on
+    /// either side fault in first: a source page's content is not fetched
+    /// yet, a destination page's install would clobber the copy later).
+    /// Returns the resident source pages, shared — no bytes move — and keyed
+    /// by absolute page number, in order; a page not listed is Zero.
+    fn share_source(&self, dst: Addr, src: Addr, len: u64) -> Result<SharedPages, MemError> {
+        self.check(src, len, Some(Prot::READ))?;
+        self.check(dst, len, Some(Prot::WRITE))?;
+        let mut source = Vec::new();
+        self.walk(src, len, |r, lo, n| {
+            for (page, slot) in r.store.slots(r.pages(lo, n)) {
+                let at = r.start.as_u64() / PAGE_SIZE + page;
+                match slot {
+                    Slot::Resident(p) => source.push((at, p.share())),
+                    Slot::Absent => return Err(MemError::NotResident(Addr(at * PAGE_SIZE))),
+                }
+            }
+            Ok(())
+        })?;
+        Ok(source)
+    }
+
     /// Copies `len` bytes from `src` to `dst`, touching only the bytes backed
     /// by resident pages of the source range.  Bytes backed by never-written
     /// pages are zero on both sides already (the destination must be freshly
@@ -378,31 +426,21 @@ impl AddressSpace {
     ///
     /// The source pages are snapshotted as shares and each is written once
     /// into the destination (epoch-stamped like any write), which ends up
-    /// owning its bytes: one copy, no intermediate buffer.
+    /// owning its bytes: one copy, no intermediate buffer.  It writes bytes
+    /// rather than sharing whole pages the way [`AddressSpace::copy`] does:
+    /// a drain or refill moves every active allocation at once, and a
+    /// sharing version left those pages allocated wherever the source was,
+    /// which made eager restarts bimodal on glibc's heap trim.  Sharing here
+    /// waits for page storage that lives off the general-purpose heap.
     ///
     /// This is the primitive behind CRAC's drain (device → upper-half
     /// staging) and refill (staging → device) of active allocations.
     pub fn sparse_copy(&mut self, dst: Addr, src: Addr, len: u64) -> Result<u64, MemError> {
-        // Absent source pages hold real (not-yet-fetched) content; absent
-        // destination pages would be clobbered later by their install.
-        // `check` makes both fault in first.
-        self.check(src, len, Some(Prot::READ))?;
-        self.check(dst, len, Some(Prot::WRITE))?;
-        // Snapshot the source pages first (shares, no bytes move), then write.
-        let mut shared: Vec<(Addr, Arc<[u8]>)> = Vec::new();
-        self.walk(src, len, |r, lo, n| {
-            for (page, slot) in r.store.slots(r.pages(lo, n)) {
-                let start = r.start + page * PAGE_SIZE;
-                match slot {
-                    Slot::Resident(p) => shared.push((start, p.share())),
-                    Slot::Absent => return Err(MemError::NotResident(start)),
-                }
-            }
-            Ok(())
-        })?;
+        let shared = self.share_source(dst, src, len)?;
         let epoch = self.write_epoch;
         let mut copied = 0u64;
-        for (start, page) in shared {
+        for (page, bytes) in shared {
+            let start = Addr(page * PAGE_SIZE);
             // The part of this source page inside the range, and where it lands.
             let (from, to) = (start.max(src), (start + PAGE_SIZE).min(src + len));
             let at = dst + (from - src);
@@ -410,7 +448,7 @@ impl AddressSpace {
             self.walk_mut(at, to - from, |r, lo, n| {
                 r.write(
                     lo,
-                    &page[(from - start + (lo - at)) as usize..][..n as usize],
+                    &bytes[(from - start + (lo - at)) as usize..][..n as usize],
                     epoch,
                 )
             })?;
@@ -952,6 +990,84 @@ mod tests {
         assert_eq!(buf, [0x11]);
         s.read(dst + 5000, &mut buf).unwrap();
         assert_eq!(buf, [0x00]);
+    }
+
+    #[test]
+    fn copy_shares_whole_pages_copy_on_write() {
+        let mut s = space();
+        let src = s
+            .mmap(MapRequest::anon(4 * PAGE_SIZE, Half::Upper, "src"))
+            .unwrap();
+        let dst = s
+            .mmap(MapRequest::anon(4 * PAGE_SIZE, Half::Lower, "dst"))
+            .unwrap();
+        s.fill(src, 4 * PAGE_SIZE, 0x11).unwrap();
+        let epoch = s.snapshot_epoch();
+        // Head and tail are partial pages; the two pages between are whole.
+        s.copy(dst + 8, src + 8, 3 * PAGE_SIZE).unwrap();
+        let bytes = |s: &AddressSpace, at: Addr| match s.slots(at, PAGE_SIZE).next() {
+            Some((0, Slot::Resident(p))) => (p.bytes().as_ptr(), p.epoch()),
+            other => panic!("{other:?}"),
+        };
+        for page in 1..3 {
+            let (shared, stamp) = bytes(&s, dst + page * PAGE_SIZE);
+            assert_eq!(shared, bytes(&s, src + page * PAGE_SIZE).0);
+            assert_eq!(stamp, epoch);
+        }
+        // A write to either side copies first and leaves the other alone.
+        s.write(src + PAGE_SIZE, &[0x22; 4]).unwrap();
+        s.write(dst + 2 * PAGE_SIZE, &[0x33; 4]).unwrap();
+        let mut buf = [0u8; 4];
+        s.read(dst + PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(buf, [0x11; 4]);
+        s.read(src + 2 * PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(buf, [0x11; 4]);
+        // Only the copied range moved: the byte before it is still zero.
+        s.read(dst + 5, &mut buf).unwrap();
+        assert_eq!(buf, [0, 0, 0, 0x11]);
+    }
+
+    #[test]
+    fn refused_copy_changes_no_byte_and_no_epoch() {
+        let mut s = space();
+        let src = s
+            .mmap(MapRequest::anon(4 * PAGE_SIZE, Half::Upper, "src"))
+            .unwrap();
+        // The destination: two writable pages, one read-only, then a hole.
+        let dst = s
+            .mmap(MapRequest::anon(4 * PAGE_SIZE, Half::Lower, "dst"))
+            .unwrap();
+        s.fill(src, 4 * PAGE_SIZE, 0x11).unwrap();
+        s.write(dst, &[0x22; 16]).unwrap();
+        s.mprotect(dst + 2 * PAGE_SIZE, PAGE_SIZE, Prot::READ)
+            .unwrap();
+        s.munmap(dst + 3 * PAGE_SIZE, PAGE_SIZE).unwrap();
+        s.snapshot_epoch();
+        let state = |s: &AddressSpace| -> Vec<(u64, Vec<u8>, u64)> {
+            let slots = s.slots(dst, 3 * PAGE_SIZE);
+            slots
+                .map(|(page, slot)| match slot {
+                    Slot::Resident(p) => (page, p.bytes().to_vec(), p.epoch()),
+                    Slot::Absent => unreachable!(),
+                })
+                .collect()
+        };
+        let before = state(&s);
+        assert_eq!(
+            s.copy(dst, src, 3 * PAGE_SIZE),
+            Err(MemError::Protection(dst + 2 * PAGE_SIZE))
+        );
+        assert_eq!(
+            s.copy(dst + 8, src, 4 * PAGE_SIZE - 8),
+            Err(MemError::Protection(dst + 2 * PAGE_SIZE))
+        );
+        s.mprotect(dst + 2 * PAGE_SIZE, PAGE_SIZE, Prot::RW)
+            .unwrap();
+        assert_eq!(
+            s.copy(dst + 8, src, 3 * PAGE_SIZE),
+            Err(MemError::Fault(dst + 3 * PAGE_SIZE))
+        );
+        assert_eq!(state(&s), before);
     }
 
     #[test]

@@ -58,6 +58,14 @@ enum Op {
         off: u64,
         len: u64,
     },
+    /// A `memmove`: the offset shifts the source only, so ragged offsets
+    /// copy across in-page offsets and equal slots overlap.
+    Copy {
+        src: u8,
+        dst: u8,
+        off: u64,
+        len: u64,
+    },
     Fill {
         slot: u8,
         off: u64,
@@ -126,6 +134,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         Just(Op::Consolidate),
         (any::<u8>(), any::<u8>(), span()).prop_map(|(src, dst, (off, len))| Op::SparseCopy {
+            src,
+            dst,
+            off,
+            len
+        }),
+        (any::<u8>(), any::<u8>(), span()).prop_map(|(src, dst, (off, len))| Op::Copy {
             src,
             dst,
             off,
@@ -372,6 +386,16 @@ proptest! {
                                 pieces.iter().map(|(_, bytes)| bytes.len() as u64).sum::<u64>()
                             });
                         prop_assert_eq!(space.sparse_copy(Addr(dst), Addr(src), len), want);
+                    }
+                }
+                Op::Copy { src, dst, off, len } => {
+                    if let Some((src, dst)) = base(src).zip(base(dst)) {
+                        let (src, dst) = ((src + off).as_u64(), dst.as_u64());
+                        let want = model
+                            .check(src, len, Some(Prot::READ))
+                            .and_then(|()| model.check(dst, len, Some(Prot::WRITE)))
+                            .map(|()| model.put(dst, &model.read(src, len)));
+                        prop_assert_eq!(space.copy(Addr(dst), Addr(src), len), want);
                     }
                 }
                 Op::Fill { slot, off, len, byte } => {

@@ -319,12 +319,8 @@ impl CudaRuntime {
             MemcpyKind::HostToDevice => self.device.memcpy_h2d(dst, src, bytes, stream)?,
             MemcpyKind::DeviceToHost => self.device.memcpy_d2h(dst, src, bytes, stream)?,
             MemcpyKind::DeviceToDevice => self.device.memcpy_d2d(dst, src, bytes, stream)?,
-            MemcpyKind::HostToHost | MemcpyKind::Default => {
-                // Host-to-host: a plain copy, no device engines involved.
-                let mut buf = vec![0u8; bytes as usize];
-                self.space.read_bytes(src, &mut buf)?;
-                self.space.write_bytes(dst, &buf)?;
-            }
+            // Host-to-host: a plain copy, no device engines involved.
+            MemcpyKind::HostToHost | MemcpyKind::Default => self.space.copy(dst, src, bytes)?,
         }
         Ok(())
     }

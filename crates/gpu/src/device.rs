@@ -71,6 +71,18 @@ struct DeviceState {
     mem_in_use: u64,
 }
 
+impl DeviceState {
+    /// `stream` if it exists.  Every enqueueing operation asks first, so a
+    /// call on an invalid stream fails before it moves a byte or a UVM page.
+    fn live(&self, stream: StreamId) -> Result<StreamId, GpuError> {
+        if self.scheduler.stream_exists(stream) {
+            Ok(stream)
+        } else {
+            Err(GpuError::InvalidStream(stream))
+        }
+    }
+}
+
 /// A simulated GPU.
 ///
 /// All methods take `&self`; internal state is protected by a single mutex,
@@ -284,9 +296,7 @@ impl GpuDevice {
             .ok_or(GpuError::InvalidEvent(event))?
             .completes_at
             .unwrap_or(0);
-        if !st.scheduler.stream_exists(stream) {
-            return Err(GpuError::InvalidStream(stream));
-        }
+        st.live(stream)?;
         st.scheduler.stall_stream_until(stream, at);
         Ok(())
     }
@@ -313,6 +323,7 @@ impl GpuDevice {
         let mut uvm_delay = 0u64;
         {
             let mut st = self.state.lock();
+            st.live(stream)?;
             for &arg in &desc.args {
                 let addr = Addr(arg);
                 if let Some((start, len)) = st.uvm.range_containing(addr) {
@@ -351,19 +362,10 @@ impl GpuDevice {
         }
     }
 
-    fn copy_bytes(&self, dst: Addr, src: Addr, bytes: u64) -> Result<(), GpuError> {
-        // Chunked copy keeps peak temporary allocation bounded for large
-        // transfers.
-        const CHUNK: u64 = 1 << 20;
-        let mut buf = vec![0u8; CHUNK.min(bytes) as usize];
-        let mut done = 0u64;
-        while done < bytes {
-            let n = CHUNK.min(bytes - done) as usize;
-            self.space.read_bytes(src + done, &mut buf[..n])?;
-            self.space.write_bytes(dst + done, &buf[..n])?;
-            done += n as u64;
-        }
-        Ok(())
+    /// The stream a copy or memset enqueues on (`None`: the default
+    /// stream), if it exists — checked before the operation moves a byte.
+    fn live_stream(&self, stream: Option<StreamId>) -> Result<StreamId, GpuError> {
+        self.state.lock().live(stream.unwrap_or(StreamId::DEFAULT))
     }
 
     /// Host→device copy.  With `stream = Some(s)` the copy is asynchronous
@@ -376,11 +378,11 @@ impl GpuDevice {
         bytes: u64,
         stream: Option<StreamId>,
     ) -> Result<(), GpuError> {
-        self.copy_bytes(dst, src, bytes)?;
+        let target = self.live_stream(stream)?;
+        self.space.copy(dst, src, bytes)?;
         let xfer = self.profile.pcie_transfer_ns(bytes);
         let issue_at = self.clock.now();
         let mut st = self.state.lock();
-        let target = stream.unwrap_or(StreamId::DEFAULT);
         let end = st
             .scheduler
             .schedule_h2d(target, issue_at, xfer)
@@ -403,11 +405,11 @@ impl GpuDevice {
         bytes: u64,
         stream: Option<StreamId>,
     ) -> Result<(), GpuError> {
-        self.copy_bytes(dst, src, bytes)?;
+        let target = self.live_stream(stream)?;
+        self.space.copy(dst, src, bytes)?;
         let xfer = self.profile.pcie_transfer_ns(bytes);
         let issue_at = self.clock.now();
         let mut st = self.state.lock();
-        let target = stream.unwrap_or(StreamId::DEFAULT);
         let end = st
             .scheduler
             .schedule_d2h(target, issue_at, xfer)
@@ -431,11 +433,11 @@ impl GpuDevice {
         bytes: u64,
         stream: Option<StreamId>,
     ) -> Result<(), GpuError> {
-        self.copy_bytes(dst, src, bytes)?;
+        let target = self.live_stream(stream)?;
+        self.space.copy(dst, src, bytes)?;
         let dur = ((bytes as f64 / self.profile.mem_bw_bytes_per_ns).ceil() as u64).max(1);
         let issue_at = self.clock.now();
         let mut st = self.state.lock();
-        let target = stream.unwrap_or(StreamId::DEFAULT);
         let end = st
             .scheduler
             .schedule_stream_only(target, issue_at, dur)
@@ -458,11 +460,11 @@ impl GpuDevice {
         bytes: u64,
         stream: Option<StreamId>,
     ) -> Result<(), GpuError> {
+        let target = self.live_stream(stream)?;
         self.space.fill(dst, bytes, byte)?;
         let dur = ((bytes as f64 / self.profile.mem_bw_bytes_per_ns).ceil() as u64).max(1);
         let issue_at = self.clock.now();
         let mut st = self.state.lock();
-        let target = stream.unwrap_or(StreamId::DEFAULT);
         let end = st
             .scheduler
             .schedule_stream_only(target, issue_at, dur)
@@ -559,6 +561,7 @@ impl GpuDevice {
     ) -> Result<(), GpuError> {
         let issue_at = self.clock.now();
         let mut st = self.state.lock();
+        st.live(stream)?;
         let to = if to_device {
             PageLocation::Device
         } else {
@@ -802,16 +805,36 @@ mod tests {
     #[test]
     fn invalid_stream_and_event_are_reported() {
         let (dev, space) = device();
-        let buf = alloc(&space, 1, "b");
-        let desc = KernelDesc::timing_only("k", LaunchDims::linear(1, 1), KernelCost::compute(1));
-        assert!(matches!(
-            dev.launch_kernel(StreamId(42), &desc),
-            Err(GpuError::InvalidStream(_))
-        ));
-        assert!(matches!(
-            dev.memcpy_h2d(buf, buf, 8, Some(StreamId(42))),
-            Err(GpuError::InvalidStream(_))
-        ));
+        let (src, dst) = (alloc(&space, 1, "src"), alloc(&space, 1, "dst"));
+        space.write_bytes(src, &[7u8; 64]).unwrap();
+        let managed = alloc(&space, 1, "managed");
+        dev.uvm_register(managed, PAGE_SIZE);
+        let bad = StreamId(42);
+        let desc = KernelDesc::with_body(
+            "k",
+            LaunchDims::linear(1, 1),
+            KernelCost::compute(1),
+            vec![managed.as_u64()],
+            |_| Ok(()),
+        );
+        // Each refused call leaves the bytes, the UVM residency and the UVM
+        // counters exactly as they were: the stream is checked first.
+        let refused: [&dyn Fn() -> Result<(), GpuError>; 6] = [
+            &|| dev.launch_kernel(bad, &desc).map(drop),
+            &|| dev.memcpy_h2d(dst, src, 64, Some(bad)),
+            &|| dev.memcpy_d2h(dst, src, 64, Some(bad)),
+            &|| dev.memcpy_d2d(dst, src, 64, Some(bad)),
+            &|| dev.memset(dst, 0xAB, 64, Some(bad)),
+            &|| dev.uvm_prefetch(managed, PAGE_SIZE, true, bad),
+        ];
+        for call in refused {
+            assert_eq!(call(), Err(GpuError::InvalidStream(bad)));
+            let mut out = [0xEEu8; 64];
+            space.read_bytes(dst, &mut out).unwrap();
+            assert_eq!(out, [0u8; 64]);
+            assert_eq!(dev.uvm_location_of(managed), Some(PageLocation::Host));
+            assert_eq!(dev.uvm_stats(), UvmStats::default());
+        }
         assert!(matches!(
             dev.event_complete(EventId(99)),
             Err(GpuError::InvalidEvent(_))
