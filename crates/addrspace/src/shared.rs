@@ -81,6 +81,13 @@ impl SharedSpace {
         *self.fault_handler.lock() = None;
     }
 
+    /// The installed fault handler, if any: a layer that resolves some
+    /// addresses itself installs a handler wrapping this one and hands it
+    /// the rest.
+    pub fn fault_handler(&self) -> Option<Arc<dyn PageFaultHandler>> {
+        self.fault_handler.lock().clone()
+    }
+
     /// `true` while a fault handler is installed.
     pub fn has_fault_handler(&self) -> bool {
         self.fault_handler.lock().is_some()
@@ -96,13 +103,10 @@ impl SharedSpace {
     ) -> Result<R, MemError> {
         loop {
             match attempt() {
-                Err(MemError::NotResident(addr)) => {
-                    let handler = self.fault_handler.lock().clone();
-                    match handler {
-                        Some(h) => h.fault(addr)?,
-                        None => return Err(MemError::NotResident(addr)),
-                    }
-                }
+                Err(MemError::NotResident(addr)) => match self.fault_handler() {
+                    Some(h) => h.fault(addr)?,
+                    None => return Err(MemError::NotResident(addr)),
+                },
                 other => return other,
             }
         }

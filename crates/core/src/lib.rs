@@ -79,6 +79,7 @@ pub mod log;
 pub mod mallocs;
 pub mod plugin;
 pub mod process;
+mod refill;
 pub mod replay;
 pub mod wire;
 

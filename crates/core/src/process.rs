@@ -23,6 +23,7 @@ use crate::interpose::{
 };
 use crate::log::LoggedCall;
 use crate::plugin::{CracPayload, CracPlugin};
+use crate::refill::Refill;
 use crate::replay::replay_log;
 
 /// Errors surfaced by the CRAC layer.
@@ -227,7 +228,10 @@ pub struct RestartReport {
     pub restart_time_s: f64,
     /// Log entries replayed against the fresh runtime.
     pub replayed_calls: usize,
-    /// Bytes copied back into device/managed allocations.
+    /// Bytes of device/managed allocations refilled from their staged
+    /// copies.  An eager restart has copied them when it returns; a lazy
+    /// one has only declared their pages absent by then — first touches
+    /// and the refill's completion after `run` copy them.
     pub refilled_bytes: u64,
 }
 
@@ -253,6 +257,9 @@ pub struct CracProcess {
     /// incremental checkpoint — but only into the *same* store, since image
     /// ids carry no meaning across stores.
     last_stored_image: Mutex<Option<(std::path::PathBuf, ImageId)>>,
+    /// The device refill a lazy restart left outstanding, until
+    /// [`CracProcess::complete_refill`] finishes it.
+    refill: Mutex<Option<Arc<Refill>>>,
 }
 
 impl CracProcess {
@@ -315,6 +322,7 @@ impl CracProcess {
             state,
             coordinator,
             last_stored_image: Mutex::new("core.process.last_stored_image", None),
+            refill: Mutex::new("core.process.refill", None),
         }
     }
 
@@ -635,7 +643,15 @@ impl CracProcess {
 
     /// Takes a checkpoint: drains the GPU, stages device state, writes the
     /// image (upper half only), and resumes.
+    ///
+    /// Inside a lazy restart it first completes the device refill; the
+    /// in-memory image has no error to carry, so a restore source that can
+    /// no longer supply the staged bytes panics here, the way a page the
+    /// coordinator's walk cannot page in does.
     pub fn checkpoint(&self) -> CkptReport {
+        self.complete_refill()
+            // crac-lint: allow(no-unwrap) — this signature has no error to carry a dead restore source; `checkpoint_to_*` return it
+            .expect("the device refill of a lazy restart cannot complete");
         let clock = Arc::clone(self.clock());
         let t0 = clock.now();
         let drained_bytes = self.state.lock().mallocs.drain_bytes();
@@ -751,6 +767,9 @@ impl CracProcess {
         mut target: CkptTarget<'_>,
         precopy: Option<&PrecopyConfig>,
     ) -> Result<CkptDone, CracError> {
+        // The drain maps fresh staging over the window a lazy restart's
+        // refill still reads: finish the refill first.
+        self.complete_refill()?;
         // A store checkpoint without an explicit parent chains onto this
         // process's previous image in the *same* store.
         let mut parent = None;
@@ -836,19 +855,24 @@ impl CracProcess {
 
     /// Lazy (demand-paging) variant of [`CracProcess::restart_from_store`]:
     /// the process resumes in **O(metadata)** — regions are mapped, their
-    /// pages declared absent, and the restored application starts running
-    /// before a single page byte has been read.  First touches of absent
-    /// pages fault their chunks in at priority while a background sweep
-    /// prefetches the rest, so the restore still completes even if `run`
-    /// never touches most of the image.
+    /// pages declared absent, the CUDA log replayed and the staged device
+    /// and managed pages declared absent too — and the restored
+    /// application starts running before a single page byte has been read.
+    /// First touches of absent pages fault their chunks in at priority
+    /// (a device page brings back its window from staging) while a
+    /// background sweep prefetches the rest, so the restore still
+    /// completes even if `run` never touches most of the image.
     ///
     /// Because the fault-service crew borrows the restored process, the
     /// lazy phase is scoped: `run` executes the application's first
     /// dealings with the process (the part whose latency lazy restore
-    /// shrinks), then the call drains the remaining prefetch, uninstalls
-    /// the fault handler and returns the fully resident process alongside
-    /// `run`'s output.  `ReadStats::resume_us` / `LazyRestoreStats` carry
-    /// the headline declare→resume latency and the fault/prefetch split.
+    /// shrinks), then the call completes the device refill, drains the
+    /// remaining prefetch, uninstalls the fault handler and returns the
+    /// fully resident process alongside `run`'s output.
+    /// `ReadStats::resume_us` / `LazyRestoreStats::resume_us` mark the
+    /// session's attach, before the replay and the refill's declaration —
+    /// not the instant `run` is entered; `LazyRestoreStats` also carries
+    /// the fault/prefetch split.
     pub fn restart_from_store_lazy<T>(
         store: &ImageStore,
         id: ImageId,
@@ -916,6 +940,9 @@ impl CracProcess {
                 |coord, space| Ok(install(coord, space)?),
             )?;
             let out = run(&proc)?;
+            // What `run` left of the device refill overlaps the prefetch
+            // sweep the session drains next.
+            proc.complete_refill()?;
             Ok::<_, CracError>((proc, report, out))
         })?;
         if let ImageSource::Store(store) = source {
@@ -924,6 +951,19 @@ impl CracProcess {
             *proc.last_stored_image.lock() = Some((store.root().to_path_buf(), id));
         }
         Ok((proc, report, read_stats, lazy_stats, out))
+    }
+
+    /// Brings back every device/managed page a lazy restart left absent and
+    /// unmaps the staging buffers, if a refill is outstanding.  Fails, and
+    /// the refill stays outstanding, if the restore source can no longer
+    /// supply a staged byte.
+    fn complete_refill(&self) -> Result<(), CracError> {
+        let mut outstanding = self.refill.lock();
+        if let Some(refill) = outstanding.as_ref() {
+            refill.complete()?;
+            *outstanding = None;
+        }
+        Ok(())
     }
 
     /// Restarts an application from a checkpoint image in a brand-new
@@ -1003,20 +1043,35 @@ impl CracProcess {
         // 4. Refill device/managed allocations from the staged copies and
         //    release the staging buffers — once the staging table has been
         //    checked against the replayed mallocs and the restored memory.
+        //    Under a lazy session (its fault handler is installed) nothing
+        //    is copied yet: the allocations come back on first touch, and
+        //    the rest when the process completes the refill.
         payload.check_staging(&replayed.state.mallocs, &space)?;
-        let mut refilled_bytes = 0u64;
-        for staged in &payload.staging {
-            space.sparse_copy(Addr(staged.ptr), Addr(staged.staging), staged.len)?;
-            space.munmap(Addr(staged.staging), page_align_up(staged.len))?;
-            refilled_bytes += staged.len;
-        }
+        let refill = match space.fault_handler() {
+            Some(session) => Some(Refill::begin(
+                &space,
+                session,
+                &payload.staging,
+                &coordinator.obs(),
+            )?),
+            None => {
+                for staged in &payload.staging {
+                    space.sparse_copy(Addr(staged.ptr), Addr(staged.staging), staged.len)?;
+                    space.munmap(Addr(staged.staging), page_align_up(staged.len))?;
+                }
+                None
+            }
+        };
+        let refilled_bytes = payload.staging.iter().map(|s| s.len).sum();
         let profile = &config.runtime.profile;
         clock.advance(profile.pcie_transfer_ns(refilled_bytes));
 
         // 5. The state the fold arrived at is the restarted process's.
         let restart_time_s = ns_to_s(clock.now() - restart_t0);
+        let proc = Self::assemble(config, registry, space, lower, coordinator, replayed.state);
+        *proc.refill.lock() = refill;
         Ok((
-            Self::assemble(config, registry, space, lower, coordinator, replayed.state),
+            proc,
             RestartReport {
                 restart_time_s,
                 replayed_calls: replayed.calls_replayed,

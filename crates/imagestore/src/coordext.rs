@@ -26,8 +26,11 @@
 //! [`crate::reader::restore_buffer_bound`] — or, lazily, becomes a
 //! [`LazyRestoreSession`] whose workers serve first-touch faults while the
 //! caller's closure already runs.  Eager and lazy stay two arms on
-//! measured grounds: a lazy restore's full residency costs ~20 % more wall
-//! time than the eager splice, so "eager = lazy + drain" would regress.
+//! measured grounds: on the benchmark's four store and TCP workloads a
+//! `crac-core` lazy restart reaches full residency in 1.03–1.09× the
+//! eager restart's wall time (`perf` medians of `drain_ms` / `restart_ms`,
+//! 10 runs of 20 s each on 2 cores), so "eager = lazy + drain" would
+//! regress there; only the CUDA workload drains faster (0.85×).
 
 use crac_addrspace::SharedSpace;
 use crac_dmtcp::{
@@ -182,8 +185,16 @@ pub fn restore<T, E: From<StoreError>>(
             session.spawn_workers(scope);
             attached = Some(space.clone());
             Ok(stats)
-        })
-        .inspect_err(|_| session.abort())?;
+        });
+        if out.is_err() {
+            session.abort();
+            // The handler holds the space it installs into: unhook it, or
+            // the discarded space would keep itself alive.
+            if let Some(space) = &attached {
+                space.clear_fault_handler();
+            }
+        }
+        let out = out?;
         if let Some(space) = attached {
             session.drain()?;
             space.clear_fault_handler();

@@ -81,12 +81,17 @@ const PREFETCH_EVENT_EVERY: u64 = 16;
 /// What one lazy restore did, beyond the [`ReadStats`] I/O accounting.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LazyRestoreStats {
-    /// Declare→resume latency in microseconds: the time from entering
-    /// [`LazyRestoreSession::attach`] to the process being resumable —
-    /// the headline number lazy restore exists to shrink.
+    /// Declare→resume latency in microseconds: the time
+    /// [`LazyRestoreSession::attach`] took — skeleton mapped, pages
+    /// declared absent, fault handler installed.  It marks the session's
+    /// attach, which a `crac-core` restart follows with the CUDA log's
+    /// replay and the device refill's declaration before the application
+    /// enters its `run` closure; the benchmark's `resume_ms` times that
+    /// later instant.
     pub resume_us: u64,
-    /// Chunks that had been fetched when the process resumed.  `0` is the
-    /// lazy guarantee: resume happened before any page bytes moved.
+    /// Chunks that had been fetched when [`LazyRestoreSession::attach`]
+    /// returned (the instant `resume_us` marks).  `0` is the lazy
+    /// guarantee: the session attached before any page bytes moved.
     pub chunks_at_resume: u64,
     /// First-touch faults serviced (each blocked an application access).
     pub faults_served: u64,
